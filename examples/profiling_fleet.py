@@ -14,7 +14,7 @@ Run with::
 """
 
 from repro.apps import CSVSTAT, MSGFORMAT, WORDCOUNT, standard_files
-from repro.collection import CollectionServer, submit_document
+from repro.collection import IngestServer, submit_document
 from repro.core import Healers
 from repro.profiling import render_errno_distribution, render_full_report
 
@@ -28,7 +28,7 @@ RUNS = [
 
 def main() -> int:
     toolkit = Healers()
-    with CollectionServer() as server:
+    with IngestServer() as server:
         print(f"collection server listening on {server.address}\n")
         for app, kwargs in RUNS:
             result, document = toolkit.profile_run(app, **kwargs)

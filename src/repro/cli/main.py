@@ -278,7 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     collect_serve.add_argument("--port", type=int, default=0)
     collect_serve.add_argument("--shards", type=int, default=4,
-                               help="ingest shard workers (default 4)")
+                               help="store partitions and spool files, "
+                                    "documents routed by application "
+                                    "(default 4)")
     collect_serve.add_argument("--credit-limit", type=int, default=64,
                                help="un-acked documents per connection "
                                     "before reads pause (default 64)")
@@ -292,9 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
                                help="deployment key HMAC-chaining spool "
                                     "records (empty = CRC-only legacy "
                                     "spool)")
-    collect_serve.add_argument("--backend", default="fabric",
-                               choices=["fabric", "legacy"],
-                               help="ingest backend (default fabric)")
     collect_serve.add_argument("--expect", type=int, default=0,
                                help="exit after receiving this many "
                                     "documents (0 = run until "
@@ -830,23 +829,28 @@ def _cmd_storm(toolkit: Healers, args) -> int:
 
 
 def _cmd_serve_collector(toolkit: Healers, args) -> int:
-    import time
+    from repro.collection import IngestServer
 
-    from repro.collection import CollectionServer
-
-    with CollectionServer(port=args.port) as server:
+    with IngestServer(port=args.port) as server:
         print(f"collection server listening on "
               f"{server.address[0]}:{server.address[1]}")
-        try:
-            while True:
-                time.sleep(0.1)
-                if args.expect and len(server.store) >= args.expect:
-                    break
-        except KeyboardInterrupt:
-            pass
-        print(f"received {len(server.store)} documents from "
-              f"{', '.join(server.store.applications()) or 'nobody'}")
+        _serve_until(server, args.expect)
     return 0
+
+
+def _serve_until(server, expect: int) -> None:
+    """Serve until ``expect`` documents are stored (0: until Ctrl-C)."""
+    import time
+
+    try:
+        while True:
+            time.sleep(0.1)
+            if expect and len(server.store) >= expect:
+                break
+    except KeyboardInterrupt:
+        pass
+    print(f"received {len(server.store)} documents from "
+          f"{', '.join(server.store.applications()) or 'nobody'}")
 
 
 def _cmd_collect(toolkit: Healers, args) -> int:
@@ -859,36 +863,23 @@ def _cmd_collect(toolkit: Healers, args) -> int:
 
 
 def _cmd_collect_serve(toolkit: Healers, args) -> int:
-    import time
-
     from repro.core.config import CollectionSettings
 
     settings = CollectionSettings(
-        port=args.port, backend=args.backend, shards=args.shards,
+        port=args.port, shards=args.shards,
         credit_limit=args.credit_limit, spool_dir=args.spool_dir,
         fsync=not args.no_fsync, spool_key=args.spool_key,
     )
     settings.validate()
     with settings.build_server() as server:
-        backend = args.backend
-        detail = (f", {args.shards} shard(s), credit {args.credit_limit}"
-                  if backend == "fabric" else "")
-        print(f"collection fabric ({backend}{detail}) listening on "
+        print(f"collection fabric (fabric, {args.shards} shard(s), "
+              f"credit {args.credit_limit}) listening on "
               f"{server.address[0]}:{server.address[1]}")
-        if backend == "fabric" and server.replayed:
+        if server.replayed:
             print(f"replayed {server.replayed} document(s) from the "
                   f"spool at {args.spool_dir}")
-        try:
-            while True:
-                time.sleep(0.1)
-                if args.expect and len(server.store) >= args.expect:
-                    break
-        except KeyboardInterrupt:
-            pass
-        print(f"received {len(server.store)} documents from "
-              f"{', '.join(server.store.applications()) or 'nobody'}")
-        if backend == "fabric":
-            print(server.fleet().describe())
+        _serve_until(server, args.expect)
+        print(server.fleet().describe())
     return 0
 
 

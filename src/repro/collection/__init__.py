@@ -1,9 +1,10 @@
 """Central collection of wrapper-emitted XML documents.
 
-Two backends share the wire protocol: the legacy thread-per-connection
-:class:`CollectionServer` (kept as the differential reference) and the
-non-blocking sharded :class:`IngestServer` fabric with credit-based
-backpressure, write-ahead spooling and fleet aggregation.
+The runtime serves with the non-blocking sharded :class:`IngestServer`
+fabric (credit-based backpressure, write-ahead spooling, fleet
+aggregation).  The thread-per-connection :class:`CollectionServer`
+speaks the same legacy frames and stays as the differential reference
+the tests and benchmarks compare the fabric against.
 """
 
 from repro.collection.fabric import (

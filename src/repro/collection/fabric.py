@@ -6,20 +6,22 @@ wrapped process shipping documents, serving apps pushing thousands of
 requests/sec) that model runs out of threads long before it runs out of
 CPU.  The fabric replaces it with:
 
-* an :class:`IngestServer` — one ``selectors`` event loop multiplexing
-  every connection through a per-connection *frame state machine* (no
-  blocking ``_read_exactly``), feeding
-* *N shard workers* — documents are hashed by application to a shard,
-  so each shard's store partition and fleet aggregates have exactly one
-  writer and per-app aggregation never contends,
+* an :class:`IngestServer` — one ``selectors`` event loop on one thread
+  multiplexing every connection through a per-connection *frame state
+  machine* (no blocking ``_read_exactly``); the loop parses each
+  completed frame itself,
+* *N shards* — documents are routed by their parsed application to a
+  store partition, fleet aggregator and spool file, so one
+  application's documents always live (and replay) in one shard,
 * *credit-based backpressure* — each ack advertises the connection's
   remaining document credit (``OK <n> CREDIT <c>``); a well-behaved
   shipper paces itself, and one that overruns simply stops being read
   (TCP backpressure) instead of being dropped,
 * a *write-ahead spool* (:mod:`repro.collection.spool`) — documents are
-  fsynced to shard-owned segment files *before* the ack goes out, and a
-  restarting server replays the spool, so *acked implies
-  stored-or-replayed* holds across crashes.
+  fsynced to shard-owned segment files *before* the ack goes out (one
+  group commit per shard per ``select`` pass), and a restarting server
+  replays the spool, so *acked implies stored-or-replayed* holds across
+  crashes.
 
 Wire protocol v2 stays backward compatible: the legacy single
 (length-prefixed) and ``HBAT`` batch frames are accepted verbatim, and
@@ -47,8 +49,7 @@ import threading
 import time
 import zlib
 from collections import deque
-from queue import Empty, SimpleQueue
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.collection.fleet import FleetAggregator
 from repro.collection.server import (
@@ -79,25 +80,6 @@ class CollectionProtocolError(Exception):
 def shard_of(application: str, shards: int) -> int:
     """Stable application→shard routing (crc32, not ``hash()``)."""
     return zlib.crc32(application.encode("utf-8", "replace")) % shards
-
-
-def _application_hint(payload: bytes) -> str:
-    """Cheap extraction of ``application="…"`` for shard routing.
-
-    Full parsing happens on the shard worker; the event loop only needs
-    a routing key, and a wrong hint merely routes to a different shard
-    (correctness never depends on it).
-    """
-    head = payload[:256]
-    marker = b'application="'
-    start = head.find(marker)
-    if start < 0:
-        return ""
-    start += len(marker)
-    end = head.find(b'"', start)
-    if end < 0:
-        return ""
-    return head[start:end].decode("utf-8", "replace")
 
 
 # ----------------------------------------------------------------------
@@ -295,42 +277,46 @@ class _Connection:
                         drain: int = 0) -> None:
         """Answer a framing error, swallow the declared payload, close.
 
-        The error line goes out immediately (a waiting client reads it
-        at once, exactly like the legacy server); the declared payload
-        is then discarded as it streams in, so a client mid-``sendall``
-        completes its write instead of seeing an RST.
+        The error line goes out at the end of this ``select`` pass,
+        after any earlier acks on the connection (a waiting client reads
+        it at once, exactly like the legacy server); the declared
+        payload is then discarded as it streams in, so a client
+        mid-``sendall`` completes its write instead of seeing an RST.
         """
         self.server.errors.append(detail)
         self.mid_frame = False  # the frame's fate is decided
         self.discard = drain
-        self.closing = True
-        self.server._send(self, ack)
+        self.server._hold(_Reply(self, line=ack, close=True))
 
 
-# ----------------------------------------------------------------------
-# in-flight frame bookkeeping (event loop <-> shard workers)
-# ----------------------------------------------------------------------
+class _Reply:
+    """One frame's answer, held until its ``select`` pass has committed.
 
-class _Frame:
-    """One dispatched ingest frame crossing the shard boundary."""
+    Replies go out in arrival order, so every connection's acks follow
+    its frame order.  A reply has either a decided ``line`` or the
+    parsed ``docs`` (``(shard, document)`` pairs) it lands once their
+    spools have committed; a ``dup`` reply is a resend, and shares the
+    docs of the original when that is staged in the same pass.  A
+    ``stats`` reply is built when it is sent, so it counts every
+    document acked before it.
+    """
 
-    __slots__ = ("conn", "count", "shipper", "seq", "batch", "slices",
-                 "parsed", "pending", "phase", "error")
+    __slots__ = ("conn", "count", "batch", "line", "close", "dup", "key",
+                 "docs", "stats")
 
-    def __init__(self, conn: _Connection, count: int, shipper: str,
-                 seq: int, batch: bool):
+    def __init__(self, conn: _Connection, count: int = 0,
+                 batch: bool = True, line: Optional[bytes] = None,
+                 close: bool = False):
         self.conn = conn
         self.count = count
-        self.shipper = shipper
-        self.seq = seq
         self.batch = batch
-        #: shard index -> [(doc_index, payload_bytes), …]
-        self.slices: Dict[int, List[Tuple[int, bytes]]] = {}
-        #: shard index -> parsed StoredDocuments (validate phase output)
-        self.parsed: Dict[int, List[StoredDocument]] = {}
-        self.pending = 0
-        self.phase = "validate"
-        self.error: Optional[str] = None
+        self.line = line
+        self.close = close
+        self.dup = False
+        self.stats = False
+        #: (shipper, seq) of a sequenced frame, recorded once it lands
+        self.key: Optional[Tuple[str, int]] = None
+        self.docs: List[Tuple[int, StoredDocument]] = []
 
 
 class IngestServer:
@@ -338,8 +324,11 @@ class IngestServer:
 
     Drop-in for :class:`CollectionServer` (same ``store`` query surface,
     same legacy wire frames) plus sharding, credits, spooling and fleet
-    aggregation.  ``shards`` store partitions each get a dedicated
-    worker thread; the event loop never parses XML or touches disk.
+    aggregation.  One event-loop thread does all the work: it parses a
+    completed frame, routes each document by its application to one of
+    ``shards`` store partitions and stages it in that shard's spool.
+    After each ``select`` pass every touched spool commits once; only
+    then do the pass's documents land and its acks go out.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
@@ -373,16 +362,16 @@ class IngestServer:
         self.connections_accepted = 0
         self._last_seq: Dict[str, int] = {}
         self._spools: List[Optional[SpoolWriter]] = [None] * shards
-        self._queues: List[SimpleQueue] = [SimpleQueue()
-                                           for _ in range(shards)]
-        self._completions: deque = deque()
+        #: the current select pass: replies awaiting its commit, its
+        #: staged sequenced frames, and its dirty and failed spools
+        self._replies: List[_Reply] = []
+        self._staged: Dict[Tuple[str, int], _Reply] = {}
+        self._dirty: Set[int] = set()
+        self._failed: Dict[int, OSError] = {}
         self._connections: Dict[socket.socket, _Connection] = {}
         self._selector = selectors.DefaultSelector()
-        self._waker_r, self._waker_w = socket.socketpair()
-        self._waker_r.setblocking(False)
         self._stop = threading.Event()
         self._loop_thread: Optional[threading.Thread] = None
-        self._shard_threads: List[threading.Thread] = []
         self._socket = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._socket.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._socket.bind((host, port))
@@ -401,16 +390,7 @@ class IngestServer:
                 self._spools[shard] = SpoolWriter(
                     self.spool_dir, name=f"shard-{shard}",
                     fsync=self.fsync, key=self.spool_key)
-        for shard in range(self.shards):
-            thread = threading.Thread(
-                target=self._shard_loop, args=(shard,),
-                name=f"healers-ingest-shard-{shard}", daemon=True)
-            thread.start()
-            self._shard_threads.append(thread)
-        self._selector.register(self._socket, selectors.EVENT_READ,
-                                ("accept", None))
-        self._selector.register(self._waker_r, selectors.EVENT_READ,
-                                ("wake", None))
+        self._selector.register(self._socket, selectors.EVENT_READ, None)
         self._loop_thread = threading.Thread(
             target=self._loop, name="healers-ingest-loop", daemon=True)
         self._loop_thread.start()
@@ -435,16 +415,16 @@ class IngestServer:
 
     def stop(self) -> None:
         self._stop.set()
-        self._wake()
         if self._loop_thread is not None:
             self._loop_thread.join(timeout=10)
-        for queue in self._queues:
-            queue.put(("stop",))
-        for thread in self._shard_threads:
-            thread.join(timeout=10)
-        for spool in self._spools:
+        for shard, spool in enumerate(self._spools):
             if spool is not None:
-                spool.close()
+                try:
+                    spool.close()
+                except OSError as exc:
+                    self.errors.append(
+                        f"spool close failed on shard {shard}: {exc}")
+                    spool.abort()
         for conn in list(self._connections.values()):
             try:
                 conn.sock.close()
@@ -456,8 +436,6 @@ class IngestServer:
         except Exception:
             pass
         self._socket.close()
-        self._waker_r.close()
-        self._waker_w.close()
 
     def __enter__(self) -> "IngestServer":
         return self.start()
@@ -484,38 +462,23 @@ class IngestServer:
     # event loop
     # ------------------------------------------------------------------
 
-    def _wake(self) -> None:
-        try:
-            self._waker_w.send(b"\x00")
-        except OSError:
-            pass
-
     def _loop(self) -> None:
         while not self._stop.is_set():
             try:
-                events = self._selector.select(timeout=0.2)
+                events = self._selector.select(timeout=0.05)
             except OSError:
                 break
             for key, mask in events:
-                kind, conn = key.data
-                if kind == "accept":
+                conn = key.data
+                if conn is None:
                     self._accept()
-                elif kind == "wake":
-                    try:
-                        while self._waker_r.recv(4096):
-                            pass
-                    except BlockingIOError:
-                        pass
-                    self._drain_completions()
-                else:
-                    if mask & selectors.EVENT_READ:
-                        self._readable(conn)
-                    if mask & selectors.EVENT_WRITE and conn.alive:
-                        self._flush_out(conn)
-            # completions may land while the selector sleeps on a
-            # timeout; drain opportunistically as well
-            if self._completions:
-                self._drain_completions()
+                    continue
+                if mask & selectors.EVENT_READ:
+                    self._readable(conn)
+                if mask & selectors.EVENT_WRITE and conn.alive:
+                    self._flush_out(conn)
+            if self._replies:
+                self._commit_pass()
 
     def _accept(self) -> None:
         while True:
@@ -531,8 +494,7 @@ class IngestServer:
             conn = _Connection(sock, self)
             self._connections[sock] = conn
             self.connections_accepted += 1
-            self._selector.register(sock, selectors.EVENT_READ,
-                                    ("conn", conn))
+            self._selector.register(sock, selectors.EVENT_READ, conn)
 
     def _readable(self, conn: _Connection) -> None:
         try:
@@ -586,7 +548,7 @@ class IngestServer:
             mask |= selectors.EVENT_WRITE
         try:
             self._selector.modify(conn.sock, mask or selectors.EVENT_READ,
-                                  ("conn", conn))
+                                  conn)
         except (KeyError, ValueError, OSError):
             pass
 
@@ -605,168 +567,150 @@ class IngestServer:
             pass
 
     # ------------------------------------------------------------------
-    # frame dispatch (event loop side)
+    # frames: parse all, then spool; land and ack after the pass commits
     # ------------------------------------------------------------------
+
+    def _hold(self, reply: _Reply) -> None:
+        """Queue a reply for the end of the pass (its docs count as
+        in flight until then)."""
+        conn = reply.conn
+        conn.inflight += reply.count
+        if conn.inflight >= self.credit_limit:
+            conn.paused = True
+        self._replies.append(reply)
 
     def _dispatch_frame(self, conn: _Connection, payloads: List[bytes],
                         shipper: str, seq: int, batch: bool) -> None:
+        """Parse a whole frame, route its documents, spool them.
+
+        Parsing every document before spooling any keeps a batch
+        atomic.  The sequence number is remembered only when the frame
+        lands (:meth:`_land`), so a refused frame's resend is judged
+        afresh.
+        """
         self.frames += 1
+        reply = _Reply(conn, len(payloads), batch)
+        self._hold(reply)
         if shipper and seq:
-            if seq <= self._last_seq.get(shipper, 0):
-                self.duplicates += 1
-                credit = max(0, self.credit_limit - conn.inflight)
-                self._send(conn, b"OK %d CREDIT %d DUP\n"
-                           % (len(payloads), credit))
+            key = (shipper, seq)
+            staged = self._staged.get(key)
+            if staged is not None or seq <= self._last_seq.get(shipper, 0):
+                # a resend: acked DUP once the original is durable
+                reply.dup = True
+                if staged is not None:
+                    reply.docs = staged.docs
                 return
-            self._last_seq[shipper] = seq
-        frame = _Frame(conn, len(payloads), shipper, seq, batch)
-        for index, payload in enumerate(payloads):
-            shard = shard_of(_application_hint(payload), self.shards)
-            frame.slices.setdefault(shard, []).append((index, payload))
-        conn.inflight += len(payloads)
-        if conn.inflight >= self.credit_limit and not conn.paused:
-            conn.paused = True
-            self._update_interest(conn)
-        frame.pending = len(frame.slices)
-        if len(frame.slices) == 1:
-            # the common case: one shipper, one application, one shard —
-            # validate + spool + commit in a single hop
-            frame.phase = "commit"
-            (shard, slice_docs), = frame.slices.items()
-            self._queues[shard].put(("ingest", frame, shard, slice_docs))
-        else:
-            frame.phase = "validate"
-            for shard, slice_docs in frame.slices.items():
-                self._queues[shard].put(
-                    ("validate", frame, shard, slice_docs))
+            reply.key = key
+        try:
+            parsed = [CollectionStore._parse(payload.decode("utf-8"))
+                      for payload in payloads]
+        except Exception as exc:
+            self.errors.append(f"malformed document: {exc}")
+            reply.line = b"ERR malformed\n"
+            return
+        reply.docs = [(shard_of(stored.document.application, self.shards),
+                       stored) for stored in parsed]
+        if reply.key:
+            self._staged[reply.key] = reply
+        if self.spool_dir:
+            self._spool(reply, payloads)
 
-    def _drain_completions(self) -> None:
-        while True:
-            try:
-                frame, error = self._completions.popleft()
-            except IndexError:
-                return
-            if error and frame.error is None:
-                frame.error = error
-            frame.pending -= 1
-            if frame.pending:
-                continue
-            if frame.phase == "validate":
-                if frame.error:
-                    self._finish(frame)
+    def _spool(self, reply: _Reply, payloads: List[bytes]) -> None:
+        """Stage a parsed frame's documents in their shards' spools.
+
+        An append error fails every shard the frame touched, so no
+        shard keeps part of a frame that is answered ``ERR spool``.
+        """
+        if any(shard in self._failed for shard, _ in reply.docs):
+            return
+        shipper, seq = reply.key or ("", 0)
+        touched = set()
+        try:
+            for index, ((shard, _), payload) in enumerate(
+                    zip(reply.docs, payloads)):
+                touched.add(shard)
+                self._spools[shard].append(encode_spool_record(
+                    shipper, seq, index, len(payloads), payload))
+        except OSError as exc:
+            for shard in touched:
+                self._failed.setdefault(shard, exc)
+        self._dirty |= touched
+
+    def _commit_pass(self) -> None:
+        """Commit each dirty spool once, then land and answer the pass.
+
+        A spool whose append or commit failed is rolled back to its last
+        commit, and every frame with a document on it is answered
+        ``ERR spool``: nothing of it is stored and its sequence number
+        is not remembered, so a resend is stored normally.  A frame
+        split over several spools keeps its records on those that did
+        commit; replay drops such a partial frame only when it is
+        sequenced.
+        """
+        failed = self._failed
+        for shard in self._dirty:
+            if shard not in failed:
+                try:
+                    self._spools[shard].commit()
+                except OSError as exc:
+                    failed[shard] = exc
+        for shard, exc in failed.items():
+            self.errors.append(f"spool failure on shard {shard}: {exc}")
+            self._spools[shard].abort()
+        replies = self._replies
+        self._replies, self._staged = [], {}
+        self._dirty, self._failed = set(), {}
+        for reply in replies:
+            line = reply.line
+            if line is None:
+                if failed and any(shard in failed
+                                  for shard, _ in reply.docs):
+                    line = b"ERR spool\n"
+                elif reply.dup:
+                    self.duplicates += 1
                 else:
-                    frame.phase = "commit"
-                    frame.pending = len(frame.slices)
-                    for shard in frame.slices:
-                        self._queues[shard].put(("commit", frame, shard))
-            else:
-                self._finish(frame)
+                    self._land(reply)
+            self._release(reply, line)
 
-    def _finish(self, frame: _Frame) -> None:
-        conn = frame.conn
-        if conn.alive:
-            conn.inflight = max(0, conn.inflight - frame.count)
+    def _land(self, reply: _Reply) -> None:
+        for shard, stored in reply.docs:
+            self.partitions[shard].submit_parsed([stored])
+            self.fleets[shard].ingest(stored.document)
+        if reply.key:
+            shipper, seq = reply.key
+            if seq > self._last_seq.get(shipper, 0):
+                self._last_seq[shipper] = seq
+
+    def _release(self, reply: _Reply, line: Optional[bytes]) -> None:
+        conn = reply.conn
+        conn.inflight -= reply.count
+        if conn.paused and conn.inflight < self.credit_limit:
+            conn.paused = False
+        if reply.stats:
+            line = self._stats_line()
+        elif line is None:
             credit = max(0, self.credit_limit - conn.inflight)
-            if frame.error:
-                self.errors.append(frame.error)
-                self._send(conn, b"ERR malformed\n")
-            elif frame.batch:
-                self._send(conn, b"OK %d CREDIT %d\n"
-                           % (frame.count, credit))
+            if reply.dup:
+                line = b"OK %d CREDIT %d DUP\n" % (reply.count, credit)
+            elif reply.batch:
+                line = b"OK %d CREDIT %d\n" % (reply.count, credit)
             else:
-                self._send(conn, b"OK CREDIT %d\n" % credit)
-            if conn.paused and conn.inflight < self.credit_limit:
-                conn.paused = False
-                self._update_interest(conn)
+                line = b"OK CREDIT %d\n" % credit
+        if reply.close:
+            conn.closing = True
+        self._send(conn, line)
 
     def _answer_stats(self, conn: _Connection) -> None:
+        reply = _Reply(conn)
+        reply.stats = True
+        self._hold(reply)
+
+    def _stats_line(self) -> bytes:
         snapshot = self.fleet().snapshot()
         snapshot["server"] = self.stats()
         snapshot["store_documents"] = len(self.store)
         payload = json.dumps(snapshot, sort_keys=True).encode("utf-8")
-        self._send(conn, _U32.pack(len(payload)) + payload)
-
-    # ------------------------------------------------------------------
-    # shard workers
-    # ------------------------------------------------------------------
-
-    def _shard_loop(self, shard: int) -> None:
-        queue = self._queues[shard]
-        store = self.partitions[shard]
-        fleet = self.fleets[shard]
-        while True:
-            batch = [queue.get()]
-            while True:
-                try:
-                    batch.append(queue.get_nowait())
-                except Empty:
-                    break
-            #: (frame, parsed_docs or None, error or None) awaiting the
-            #: group fsync before their stores + completions happen
-            landings: List[Tuple[_Frame, Optional[List[StoredDocument]],
-                                 Optional[str]]] = []
-            validations: List[Tuple[_Frame, Optional[str]]] = []
-            spool = self._spools[shard]
-            stop = False
-            for message in batch:
-                kind = message[0]
-                if kind == "stop":
-                    stop = True
-                    continue
-                if kind == "validate":
-                    _, frame, _, slice_docs = message
-                    error = self._parse_slice(frame, shard, slice_docs)
-                    validations.append((frame, error))
-                    continue
-                if kind == "commit":
-                    _, frame, _ = message
-                    parsed = frame.parsed.get(shard, [])
-                    self._spool_slice(spool, frame, shard)
-                    landings.append((frame, parsed, None))
-                    continue
-                # "ingest": single-shard fast path
-                _, frame, _, slice_docs = message
-                error = self._parse_slice(frame, shard, slice_docs)
-                if error is None:
-                    self._spool_slice(spool, frame, shard)
-                    landings.append((frame, frame.parsed[shard], None))
-                else:
-                    landings.append((frame, None, error))
-            if spool is not None and landings:
-                spool.commit()  # one fsync for the whole drain cycle
-            for frame, parsed, error in landings:
-                if parsed:
-                    store.submit_parsed(parsed)
-                    for stored in parsed:
-                        fleet.ingest(stored.document)
-                self._completions.append((frame, error))
-            for frame, error in validations:
-                self._completions.append((frame, error))
-            if landings or validations:
-                self._wake()
-            if stop:
-                return
-
-    @staticmethod
-    def _parse_slice(frame: _Frame, shard: int,
-                     slice_docs: List[Tuple[int, bytes]]) -> Optional[str]:
-        parsed = []
-        for _index, payload in slice_docs:
-            try:
-                parsed.append(CollectionStore._parse(
-                    payload.decode("utf-8")))
-            except Exception as exc:
-                return f"malformed document: {exc}"
-        frame.parsed[shard] = parsed
-        return None
-
-    def _spool_slice(self, spool: Optional[SpoolWriter], frame: _Frame,
-                     shard: int) -> None:
-        if spool is None:
-            return
-        for index, payload in frame.slices[shard]:
-            spool.append(encode_spool_record(
-                frame.shipper, frame.seq, index, frame.count, payload))
+        return _U32.pack(len(payload)) + payload
 
 
 class ShardedStore:

@@ -77,9 +77,10 @@ class FleetCell:
 class FleetAggregator:
     """Rolls profile documents up per (library, function, preset).
 
-    A single ingest-shard worker is the only writer of its aggregator,
-    so updates never contend; the internal lock exists purely so
-    snapshots taken from query threads see consistent cells.
+    The ingest fabric's event-loop thread is the only writer of its
+    shard aggregators, so updates never contend; the internal lock
+    exists purely so snapshots taken from query threads see consistent
+    cells.
     """
 
     def __init__(self, reservoir_limit: int = RESERVOIR_LIMIT):

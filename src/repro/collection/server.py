@@ -159,6 +159,9 @@ class CollectionServer:
     Each accepted connection is served on its own thread, so one slow or
     stalled client (the 5-second read timeout) never blocks the other
     reporters of a fleet; the store itself serialises index updates.
+    The runtime serves with :class:`~repro.collection.fabric.IngestServer`;
+    this server is the reference the fabric's differential tests and
+    soak benchmark compare against.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,

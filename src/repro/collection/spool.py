@@ -24,8 +24,12 @@ it loses nothing the fabric promised to keep.
 
 Writes are buffered and group-committed: :meth:`SpoolWriter.append`
 stages records in the file's userspace buffer and :meth:`commit`
-flushes + fsyncs once for the whole group — the shard workers batch one
-fsync per queue drain, not one per document.
+flushes + fsyncs once for the whole group — the ingest fabric commits
+each shard's spool once per event-loop pass, not once per document.
+After an I/O error, :meth:`SpoolWriter.abort` rolls the spool back to
+its last :meth:`commit` — also across a segment rotation, which syncs
+the old segment early — so records whose frames were refused never
+replay.
 
 Tamper evidence (optional): a writer given a deployment ``key``
 HMAC-chains every record.  Each keyed segment opens with a marker
@@ -141,6 +145,11 @@ class SpoolWriter:
         self._sequence = next_seq
         self._handle = None
         self._written = 0
+        #: where the last :meth:`commit` left the spool — its open
+        #: segment and that segment's length — and the segments opened
+        #: since; :meth:`abort` rolls back to this point
+        self._mark: Optional[Tuple[str, int]] = None
+        self._opened: List[str] = []
         #: records staged since the last :meth:`commit`
         self.uncommitted = 0
         #: records durably committed over this writer's lifetime
@@ -154,8 +163,9 @@ class SpoolWriter:
         path = os.path.join(self.directory,
                             _segment_name(self.name, self._sequence))
         self._sequence += 1
-        self._written = 0
         handle = open(path, "ab")
+        self._opened.append(path)
+        self._written = 0
         if self.key is not None:
             # keyed segments open with the marker record and seed the
             # chain from the segment's own name; the marker is not a
@@ -170,8 +180,11 @@ class SpoolWriter:
         """Stage one record (durable only after :meth:`commit`)."""
         if self._handle is None or self._written >= self.segment_bytes:
             if self._handle is not None:
-                self._commit_handle()
-                self._handle.close()
+                # the full segment is synced now, but the rollback point
+                # stays at the last commit()
+                self._sync()
+                handle, self._handle = self._handle, None
+                handle.close()
             self._handle = self._open_segment()
         if self.key is not None:
             self._mac = _chain_next(self.key, self._mac, payload)
@@ -185,16 +198,45 @@ class SpoolWriter:
         """Flush + fsync everything staged; returns records made durable."""
         staged = self.uncommitted
         if staged and self._handle is not None:
-            self._commit_handle()
+            self._sync()
+        self.committed += staged
+        self.uncommitted = 0
+        self._mark = (None if self._handle is None
+                      else (self._handle.name, self._written))
+        self._opened = []
         return staged
 
-    def _commit_handle(self) -> None:
+    def _sync(self) -> None:
         self._handle.flush()
         if self.fsync:
             os.fsync(self._handle.fileno())
         self.syncs += 1
-        self.committed += self.uncommitted
+
+    def abort(self) -> None:
+        """Drop every record appended since the last commit, best effort.
+
+        Segments opened since then are deleted and the segment that was
+        open at the commit is truncated back to its committed length;
+        the next :meth:`append` starts a fresh segment.
+        """
+        handle, self._handle = self._handle, None
         self.uncommitted = 0
+        if handle is not None:
+            try:
+                handle.close()
+            except OSError:
+                pass
+        for path in self._opened:
+            try:
+                os.unlink(path)
+            except OSError:
+                pass
+        self._opened = []
+        if self._mark is not None:
+            try:
+                os.truncate(*self._mark)
+            except OSError:
+                pass
 
     def close(self) -> None:
         if self._handle is not None:

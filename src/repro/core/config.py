@@ -226,31 +226,26 @@ class TelemetrySettings:
         return node
 
 
-#: collection server backends a deployment may select
-COLLECTION_BACKENDS = ("fabric", "legacy")
-
-
 @dataclass
 class CollectionSettings:
     """How the deployment's collection service ingests documents.
 
-    ``backend="fabric"`` selects the sharded non-blocking
-    :class:`~repro.collection.fabric.IngestServer` (credit-based
-    backpressure, write-ahead spool, fleet aggregation);
-    ``backend="legacy"`` keeps the thread-per-connection reference
-    server.
+    The service is the :class:`~repro.collection.fabric.IngestServer`
+    fabric (one event-loop thread, credit-based backpressure,
+    write-ahead spool, fleet aggregation).  ``shards`` sets how many
+    store partitions and per-shard spool files it keeps, not how many
+    threads it runs.
 
     .. code-block:: xml
 
-        <collection host="0.0.0.0" port="7433" backend="fabric"
+        <collection host="0.0.0.0" port="7433"
                     shards="4" credit-limit="64"
                     spool-dir="/var/spool/healers" fsync="true"/>
     """
 
     host: str = "127.0.0.1"
     port: int = 0
-    backend: str = "fabric"
-    #: ingest shard workers (fabric backend only)
+    #: store partitions and spool files (documents routed by application)
     shards: int = 4
     #: un-acked documents per connection before reads pause
     credit_limit: int = 64
@@ -263,11 +258,6 @@ class CollectionSettings:
     spool_key: str = ""
 
     def validate(self) -> None:
-        if self.backend not in COLLECTION_BACKENDS:
-            raise ValueError(
-                f"unknown collection backend {self.backend!r}; "
-                f"known: {', '.join(COLLECTION_BACKENDS)}"
-            )
         if not (0 <= self.port <= 65535):
             raise ValueError(
                 f"collection port must be 0..65535, got {self.port}"
@@ -283,10 +273,7 @@ class CollectionSettings:
             )
 
     def build_server(self):
-        """Instantiate (not start) the configured server backend."""
-        if self.backend == "legacy":
-            from repro.collection.server import CollectionServer
-            return CollectionServer(host=self.host, port=self.port)
+        """Instantiate (not start) the configured ingest server."""
         from repro.collection.fabric import IngestServer
         return IngestServer(
             host=self.host, port=self.port, shards=self.shards,
@@ -304,7 +291,6 @@ class CollectionSettings:
         settings = cls(
             host=node.get("host", "127.0.0.1"),
             port=int(node.get("port", "0")),
-            backend=node.get("backend", "fabric"),
             shards=int(node.get("shards", "4")),
             credit_limit=int(node.get("credit-limit", "64")),
             spool_dir=node.get("spool-dir", ""),
@@ -318,7 +304,7 @@ class CollectionSettings:
         node = ET.SubElement(
             parent, "collection",
             {"host": self.host, "port": str(self.port),
-             "backend": self.backend, "shards": str(self.shards),
+             "shards": str(self.shards),
              "credit-limit": str(self.credit_limit),
              "fsync": "true" if self.fsync else "false"})
         if self.spool_dir:

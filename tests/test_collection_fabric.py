@@ -1,5 +1,7 @@
 """The async ingest fabric: differential parity, credits, zero loss."""
 
+import errno
+import json
 import random
 import socket
 import struct
@@ -17,10 +19,13 @@ from repro.collection import (
     FleetAggregator,
     IngestServer,
     SpoolAuthenticationError,
+    SpoolWriter,
     fetch_fleet_stats,
     submit_document,
     submit_documents,
 )
+from repro.collection import spool as spool_module
+from repro.collection.fabric import STATS_MAGIC
 from repro.profiling import ProfileDocument
 from repro.telemetry import CollectionSink, CollectionSinkClosed
 from repro.wrappers.state import WrapperState
@@ -484,3 +489,182 @@ class TestStatsAndStore:
             thread.join()
         assert len(fabric_nospool.store) == threads_n * docs_per_thread
         assert not fabric_nospool.errors
+
+
+# ----------------------------------------------------------------------
+# one thread: parse all, then spool; acks only after the pass commits
+# ----------------------------------------------------------------------
+
+def _sequenced_frame(shipper: str, seq: int, payloads) -> bytes:
+    return FabricClient(("127.0.0.1", 0), shipper=shipper)._build_frame(
+        seq, payloads)
+
+
+def _read_lines(conn, count):
+    buffer = b""
+    while buffer.count(b"\n") < count:
+        data = conn.recv(4096)
+        if not data:
+            break
+        buffer += data
+    return buffer.splitlines()
+
+
+class TestInlineFabric:
+    @pytest.mark.parametrize("shards", [1, 4, 16])
+    def test_fabric_starts_exactly_one_thread(self, shards):
+        before = set(threading.enumerate())
+        with IngestServer(shards=shards) as server:
+            started = [thread for thread in threading.enumerate()
+                       if thread not in before]
+            assert len(started) == 1
+            assert submit_document(server.address, _document_xml("one"))
+            assert len(server.store) == 1
+
+    def test_rejected_frame_sequence_is_not_remembered(self,
+                                                       fabric_nospool):
+        bad = _sequenced_frame("rs", 1, [b"<not xml"])
+        assert _send_frame(fabric_nospool.address, bad) \
+            == b"ERR malformed\n"
+        # the same frame again is judged again, not acked DUP
+        assert _send_frame(fabric_nospool.address, bad) \
+            == b"ERR malformed\n"
+        # and the corrected resend under the same sequence is stored
+        good = _sequenced_frame("rs", 1, [_document_xml("rs").encode()])
+        reply = _send_frame(fabric_nospool.address, good)
+        assert reply.startswith(b"OK 1 ") and b"DUP" not in reply
+        assert len(fabric_nospool.store) == 1
+        assert fabric_nospool.duplicates == 0
+
+    def test_dup_ack_waits_for_the_original_commit(self, tmp_path,
+                                                   monkeypatch):
+        commit = SpoolWriter.commit
+        durable = []
+
+        def slow_commit(writer):
+            time.sleep(0.5)
+            staged = commit(writer)
+            if staged:
+                durable.append(time.monotonic())
+            return staged
+
+        monkeypatch.setattr(SpoolWriter, "commit", slow_commit)
+        frame = _sequenced_frame("slow", 1, [_document_xml("s").encode()])
+        with IngestServer(shards=1,
+                          spool_dir=str(tmp_path / "spool")) as server:
+            with socket.create_connection(server.address, timeout=5) as a, \
+                    socket.create_connection(server.address,
+                                             timeout=5) as b:
+                a.sendall(frame)
+                time.sleep(0.1)  # the original is now being committed
+                b.sendall(frame)
+                (dup,) = _read_lines(b, 1)
+                dup_at = time.monotonic()
+                (first,) = _read_lines(a, 1)
+            assert first.startswith(b"OK 1 ") and b"DUP" not in first
+            assert dup.endswith(b"DUP")
+            assert durable and durable[0] <= dup_at
+            assert len(server.store) == 1
+
+    def test_routes_by_parsed_application(self):
+        # the XML escapes the name (a&lt;b), which hashes to another shard
+        with IngestServer(shards=4) as server:
+            assert submit_document(server.address, _document_xml("a<b"))
+            assert submit_documents(server.address,
+                                    [_document_xml("a<b", calls=2)])
+            assert len(server.store.by_application("a<b")) == 2
+            assert server.store.applications() == ["a<b"]
+
+    def test_spool_error_answers_err_and_keeps_serving(self, tmp_path,
+                                                       monkeypatch):
+        def disk_full(writer):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        spool = str(tmp_path / "spool")
+        doc = _document_xml("full")
+        server = IngestServer(shards=2, spool_dir=spool).start()
+        try:
+            monkeypatch.setattr(SpoolWriter, "commit", disk_full)
+            client = FabricClient(server.address, shipper="full",
+                                  timeout=2, retries=1)
+            with pytest.raises(CollectionProtocolError, match="ERR spool"):
+                client.ship([doc])
+            assert len(server.store) == 0
+            assert any("No space left" in error for error in server.errors)
+            monkeypatch.undo()
+            # the loop still serves, and the resend of the refused
+            # sequence is stored, not acked DUP
+            client._seq = 0
+            client.ship([doc])
+            client.close()
+            assert client.duplicate_acks == 0
+            assert len(server.store) == 1
+            monkeypatch.setattr(SpoolWriter, "commit", disk_full)
+        finally:
+            server.stop()  # must not raise while the disk stays full
+        monkeypatch.undo()
+        # the refused copy was rolled back: only the stored one replays
+        with IngestServer(shards=2, spool_dir=spool) as reborn:
+            assert [d.raw_xml for d in reborn.store.documents] == [doc]
+
+    def test_replies_keep_frame_order_within_a_pass(self, fabric_nospool):
+        good = _document_xml("order").encode()
+        frames = (_sequenced_frame("order", 1, [good])
+                  + _sequenced_frame("order", 1, [good])
+                  + _sequenced_frame("order", 2, [b"<garbage/>"])
+                  + _sequenced_frame("order", 3, [good, good]))
+        with socket.create_connection(fabric_nospool.address,
+                                      timeout=5) as conn:
+            conn.sendall(frames)
+            lines = _read_lines(conn, 4)
+        assert [line.split(b" ")[:2] for line in lines] == [
+            [b"OK", b"1"], [b"OK", b"1"], [b"ERR", b"malformed"],
+            [b"OK", b"2"]]
+        assert lines[1].endswith(b"DUP")
+        assert len(fabric_nospool.store) == 3
+
+    def test_failed_rotation_keeps_acked_documents(self, tmp_path,
+                                                   monkeypatch):
+        def no_descriptors(*args, **kwargs):
+            raise OSError(errno.EMFILE, "Too many open files")
+
+        spool = str(tmp_path / "spool")
+        acked = [_document_xml("rot", calls=n) for n in range(1, 4)]
+        server = IngestServer(shards=1, spool_dir=spool).start()
+        try:
+            client = FabricClient(server.address, shipper="rot",
+                                  timeout=2, retries=1)
+            client.ship(acked)
+            # the next append rotates, and opening the new segment fails
+            server._spools[0].segment_bytes = 1
+            monkeypatch.setattr(spool_module, "open", no_descriptors,
+                                raising=False)
+            with pytest.raises(CollectionProtocolError, match="ERR spool"):
+                client.ship([_document_xml("rot", calls=9)])
+            monkeypatch.undo()
+            client.close()
+        finally:
+            server.stop()
+        with IngestServer(shards=1, spool_dir=spool) as reborn:
+            assert [d.raw_xml for d in reborn.store.documents] == acked
+
+    def test_stats_reply_counts_the_frames_acked_before_it(self,
+                                                           fabric_nospool):
+        frame = _sequenced_frame("st", 1, [_document_xml("st").encode()])
+        with socket.create_connection(fabric_nospool.address,
+                                      timeout=5) as conn:
+            conn.sendall(frame + STATS_MAGIC)
+            buffer = b""
+            while b"\n" not in buffer:
+                buffer += conn.recv(4096)
+            ack, _, rest = buffer.partition(b"\n")
+            while len(rest) < 4:
+                rest += conn.recv(4096)
+            (length,) = struct.unpack(">I", rest[:4])
+            payload = rest[4:]
+            while len(payload) < length:
+                payload += conn.recv(4096)
+        assert ack.startswith(b"OK 1 ")
+        snapshot = json.loads(payload.decode("utf-8"))
+        assert snapshot["store_documents"] == 1
+        assert snapshot["server"]["documents"] == 1

@@ -1,5 +1,6 @@
 """Write-ahead spool: format, group commit, and crash recovery."""
 
+import errno
 import os
 import struct
 import zlib
@@ -19,6 +20,7 @@ from repro.collection.fabric import (
     encode_spool_record,
     replay_documents,
 )
+from repro.collection import spool as spool_module
 from repro.collection.spool import _MAC_SIZE, list_segments
 
 
@@ -85,6 +87,62 @@ class TestSpoolRoundTrip:
         _write(str(tmp_path), [b"b"], name="shard-1")
         assert replay(str(tmp_path), name="shard-0")[0] == [b"a"]
         assert replay(str(tmp_path), name="shard-1")[0] == [b"b"]
+
+
+class TestAbort:
+    def test_abort_drops_staged_records(self, tmp_path):
+        writer = SpoolWriter(str(tmp_path), fsync=False)
+        writer.append(b"kept")
+        writer.commit()
+        writer.append(b"dropped")
+        writer.abort()
+        writer.append(b"after")
+        writer.commit()
+        writer.close()
+        assert replay(str(tmp_path))[0] == [b"kept", b"after"]
+
+    def test_abort_before_any_commit_leaves_nothing(self, tmp_path):
+        writer = SpoolWriter(str(tmp_path), fsync=False)
+        writer.append(b"dropped")
+        writer.abort()
+        assert replay(str(tmp_path))[0] == []
+
+    def test_abort_rolls_back_across_a_rotation(self, tmp_path):
+        # the rotation syncs the staged records early; abort still
+        # drops them, and deletes the segment opened after the commit
+        writer = SpoolWriter(str(tmp_path), fsync=False, segment_bytes=300)
+        writer.append(b"k" * 100)
+        writer.commit()
+        for _ in range(4):
+            writer.append(b"d" * 100)
+        assert len(list_segments(str(tmp_path), "spool")) == 2
+        writer.abort()
+        writer.append(b"after")
+        writer.commit()
+        writer.close()
+        assert replay(str(tmp_path))[0] == [b"k" * 100, b"after"]
+
+    def test_failed_rotation_keeps_committed_records(self, tmp_path,
+                                                      monkeypatch):
+        writer = SpoolWriter(str(tmp_path), fsync=False, segment_bytes=300)
+        committed = [b"c" * 100] * 3
+        for payload in committed:
+            writer.append(payload)
+        writer.commit()
+
+        def no_descriptors(*args, **kwargs):
+            raise OSError(errno.EMFILE, "Too many open files")
+
+        monkeypatch.setattr(spool_module, "open", no_descriptors,
+                            raising=False)
+        with pytest.raises(OSError):
+            writer.append(b"refused")
+        writer.abort()
+        monkeypatch.undo()
+        writer.append(b"after")
+        writer.commit()
+        writer.close()
+        assert replay(str(tmp_path))[0] == committed + [b"after"]
 
 
 class TestTornTail:

@@ -363,3 +363,24 @@ class TestCollectCLI:
     def test_collect_requires_subcommand(self, capsys):
         with pytest.raises(SystemExit):
             main(["collect"])
+
+    def test_fabric_is_the_only_collection_server(self, capsys):
+        import xml.etree.ElementTree as ET
+
+        from repro.collection import IngestServer
+        from repro.core.config import CollectionSettings
+
+        with pytest.raises(SystemExit):
+            main(["collect", "serve", "--backend", "legacy"])
+        # an old deployment file's backend= is ignored like any
+        # unknown attribute
+        settings = CollectionSettings.from_node(
+            ET.fromstring('<collection backend="legacy" shards="2"/>'))
+        assert "backend" not in ET.tostring(
+            settings.to_node(ET.Element("deployment"))).decode()
+        server = settings.build_server()
+        try:
+            assert isinstance(server, IngestServer)
+            assert server.shards == 2
+        finally:
+            server.stop()
