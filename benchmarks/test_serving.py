@@ -21,9 +21,8 @@ payload).  ``HEALERS_SERVING_GATE`` (default 1.5) gates that headline;
 shared CI runners can relax it.
 
 Writes ``benchmarks/out/BENCH_serving.json`` and the
-``p8_serving_table`` artifact; the fusion ablation (fusion off / fuel
-batching off / resolver cache off / check memo off) appends its
-section to both.
+``p8_serving_table`` artifact; the fusion ablation (fusion off / check
+memo off / resolver cache off) appends its section to both.
 """
 
 from __future__ import annotations
@@ -58,12 +57,11 @@ def serving_api(registry, manpages):
 
 
 def build_session(app, preset, registry, api, gen, *, fused,
-                  resolver=None, fuel_batching=True, check_memo=True):
+                  resolver=None, check_memo=True):
     """One warmed session: traces recorded (fused), warmup served."""
     session = ServingSession(
         app, preset=preset, registry=registry, api=api, fused=fused,
-        fuel_batching=fuel_batching, check_memo=check_memo,
-        resolver=resolver,
+        check_memo=check_memo, resolver=resolver,
     )
     if fused:
         session.record_traces(gen.warmup, gen.samples)
@@ -198,24 +196,6 @@ def test_p8_fusion_ablation(registry, serving_api, artifact):
     for name in order[1:]:
         assert_identical(sessions[name], sessions["full"])
 
-    # fuel batching only exists under a fuel budget (budgeted runs
-    # disable the verdict memo, so this pair isolates the batch draw):
-    # one budget comparison per request vs one per metered operation
-    def budgeted(batching):
-        session = ServingSession(
-            app, preset=HEADLINE_PRESET, registry=registry,
-            api=serving_api, fused=True, fuel_batching=batching,
-            fuel=1 << 40,
-        )
-        session.record_traces(gen.warmup, gen.samples)
-        session.serve_all(gen.warmup)
-        session.drive(gen.stream(200))
-        return session
-
-    pair = [budgeted(True), budgeted(False)]
-    (batch_on, batch_off), _ = paired_best(pair, gen)
-    assert pair[0].process.fuel_used == pair[1].process.fuel_used
-
     # the resolver table is a build-time lever: dlsym(RTLD_NEXT) is
     # lazy, so "build" here is session construction plus the first
     # request of each kind (which forces every import's resolution)
@@ -242,14 +222,6 @@ def test_p8_fusion_ablation(registry, serving_api, artifact):
             name: round(value / rps["full"], 2) if rps["full"] else None
             for name, value in rps.items()
         },
-        "fuel_batching": {
-            "note": "measured under a 2^40 fuel budget (budgeted runs "
-                    "bypass the verdict memo, isolating the batch draw)",
-            "batched_rps": round(batch_on, 1),
-            "per_call_rps": round(batch_off, 1),
-            "speedup": round(batch_on / batch_off, 2)
-            if batch_off else None,
-        },
         "resolver_cache": {
             "note": "build-time lever: session construction plus the "
                     "first request of each kind (lazy dlsym)",
@@ -273,10 +245,6 @@ def test_p8_fusion_ablation(registry, serving_api, artifact):
     for name in order:
         rows.append(f"{name:<18} {rps[name]:>9.0f} "
                     f"{rps[name] / rps['full']:>7.2f}x")
-    rows.append(
-        f"fuel batching (under budget): {batch_on:.0f} rps batched vs "
-        f"{batch_off:.0f} rps per-call ({batch_on / batch_off:.2f}x)"
-    )
     rows.append(
         f"resolver cache: rebuild {resolver_on * 1e3:.1f}ms cached vs "
         f"{resolver_off * 1e3:.1f}ms uncached"

@@ -384,16 +384,29 @@ class IngestServer:
     # ------------------------------------------------------------------
 
     def start(self) -> "IngestServer":
-        if self.spool_dir:
-            self._replay_spool()
-            for shard in range(self.shards):
-                self._spools[shard] = SpoolWriter(
-                    self.spool_dir, name=f"shard-{shard}",
-                    fsync=self.fsync, key=self.spool_key)
-        self._selector.register(self._socket, selectors.EVENT_READ, None)
-        self._loop_thread = threading.Thread(
-            target=self._loop, name="healers-ingest-loop", daemon=True)
-        self._loop_thread.start()
+        """Replay the spool, open the shard spools and start the loop.
+
+        A failed start (say, a keyed spool replayed without its key)
+        releases the listening socket, the selector and any spool it
+        opened before re-raising: ``__exit__`` never runs when
+        ``__enter__`` raises, so nothing else would.
+        """
+        try:
+            if self.spool_dir:
+                self._replay_spool()
+                for shard in range(self.shards):
+                    self._spools[shard] = SpoolWriter(
+                        self.spool_dir, name=f"shard-{shard}",
+                        fsync=self.fsync, key=self.spool_key)
+            self._selector.register(self._socket, selectors.EVENT_READ,
+                                    None)
+            loop = threading.Thread(
+                target=self._loop, name="healers-ingest-loop", daemon=True)
+            loop.start()
+        except BaseException:
+            self.stop()
+            raise
+        self._loop_thread = loop
         return self
 
     def _replay_spool(self) -> None:

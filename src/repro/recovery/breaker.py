@@ -7,8 +7,8 @@ service along a ladder of *rungs*, least to most degraded::
     fused -> table -> interpreted -> shed
 
 Stepping **down** trades throughput for checking: the fused lanes
-memoize verdicts and batch fuel, which is exactly the state you stop
-trusting while faults are landing — ``table`` disables trace replay,
+replay recorded traces and memoized verdicts, which is exactly the state
+you stop trusting while faults are landing — ``table`` disables trace replay,
 ``interpreted`` bypasses the fused image entirely (per-call dynamic
 dispatch through the wrapped PLT), and ``shed`` stops admitting
 requests except for periodic probes.  Stepping **up** requires a clean

@@ -471,17 +471,6 @@ class ArgumentChecker:
         """True when at least one check can fire on this function."""
         return bool(self._plan) if self.compiled else bool(self.ordered)
 
-    @property
-    def compiled_plan(self) -> Tuple[
-        List[Tuple[ParamPlan, Optional[int], CheckFn]],
-        List[Tuple[str, int]],
-        bool,
-    ]:
-        """``(plan, slots, needs_values)`` for building fused fast-path
-        guards: the bound check closures, the argument slots feeding the
-        values mapping, and whether any check consults that mapping."""
-        return self._plan, self._slots, self._needs_values
-
     # ------------------------------------------------------------------
 
     def validate(self, proc: SimProcess, args: Sequence[Any],
@@ -539,21 +528,24 @@ class ArgumentChecker:
                     break
         return violations
 
-    def bound_validator(
-        self,
-    ) -> Callable[[SimProcess, Sequence[Any], Sequence[Any]],
-                  Optional[CheckViolation]]:
-        """One bound ``(proc, args, varargs) -> first violation`` callable.
+    def memoized(
+        self, violate: Callable[[SimProcess, ParamPlan, str], Any],
+    ) -> Callable[[SimProcess, Sequence[Any], Sequence[Any]], Any]:
+        """The compiled plan behind the ``CheckMemo`` verdict memo.
 
-        The compiled wrappers' hot entry: everything the plan needs is
-        captured in the closure, so the happy path costs one values
-        mapping at most and no intermediate list or dispatch layer.
+        Returns ``(proc, args, varargs) -> None`` on a clean pass; on the
+        first failing check it returns ``violate(proc, param, detail)``.
+        Everything the plan needs is captured in the closure, so the
+        happy path costs one values mapping at most and no intermediate
+        list or dispatch layer.  A clean pass whose checks are all
+        memory+args pure is recorded in ``proc.check_memo`` and replayed
+        while its terminator dependencies hold; violating runs always
+        re-execute so their ``violate`` side effects repeat exactly.
         Only meaningful when the checker was built ``compiled=True``.
         """
         plan = self._plan
         slots = self._slots
         needs_values = self._needs_values
-        function = self.function
         # every check except file_open is a pure function of memory
         # (tracked by the CheckMemo tokens) and the argument values, so
         # its clean verdict can be replayed; stream-table state is the
@@ -568,8 +560,8 @@ class ArgumentChecker:
         wins = 0
         enabled = memoizable
 
-        def validate_first(proc: SimProcess, args: Sequence[Any],
-                           varargs: Sequence[Any]) -> Optional[CheckViolation]:
+        def run(proc: SimProcess, args: Sequence[Any],
+                varargs: Sequence[Any]) -> Any:
             nonlocal tries, wins, enabled
             # fuel-budgeted runs never replay: a recorded verdict's fuel
             # credit cannot reproduce a mid-check OutOfFuel exactly
@@ -622,12 +614,7 @@ class ArgumentChecker:
                 if detail is not None:
                     if memo is not None:
                         memo.dep_log = None
-                    return CheckViolation(
-                        function=function,
-                        param=param.name,
-                        check=param.check,
-                        detail=detail,
-                    )
+                    return violate(proc, param, detail)
             if memo is not None:
                 log = memo.dep_log
                 memo.dep_log = None
@@ -643,7 +630,7 @@ class ArgumentChecker:
                         memo.verdicts[key] = [record]
             return None
 
-        return validate_first
+        return run
 
     # ------------------------------------------------------------------
     # individual checks

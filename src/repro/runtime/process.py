@@ -91,10 +91,6 @@ class SimProcess:
         self.errno = 0
         self.fuel = fuel
         self._fuel_used = 0
-        #: fuel pre-drawn for the current request batch (serving fast
-        #: path); 0 means no batch is engaged and every consume pays the
-        #: full budget comparison
-        self._batch_fuel = 0
         self.exit_status: Optional[int] = None
         #: optional :class:`repro.robust.checks.CheckMemo` consulted by the
         #: wrapper check primitives; installed by the fused serving image,
@@ -149,15 +145,6 @@ class SimProcess:
 
     def consume(self, units: int = 1) -> None:
         """Burn ``units`` of fuel; raises OutOfFuel past the budget."""
-        if 0 < units <= self._batch_fuel:
-            # inside a pre-drawn batch: the draw already proved the
-            # budget covers these units, so skip the comparison
-            self._batch_fuel -= units
-            self._fuel_used += units
-            return
-        if units > 0:
-            # overran the draw: abandon the batch, resume exact checks
-            self._batch_fuel = 0
         self._fuel_used += units
         if self.fuel is not None and self._fuel_used > self.fuel:
             raise OutOfFuel(self._fuel_used)
@@ -183,45 +170,10 @@ class SimProcess:
         """
         if units <= 0:
             return
-        if units <= self._batch_fuel:
-            self._batch_fuel -= units
-            self._fuel_used += units
-            return
-        self._batch_fuel = 0
         if self.fuel is not None and self._fuel_used + units > self.fuel:
             self._fuel_used = self.fuel + 1
             raise OutOfFuel(self._fuel_used)
         self._fuel_used += units
-
-    # ------------------------------------------------------------------
-    # batched fuel accounting (serving request loops)
-    # ------------------------------------------------------------------
-
-    def begin_fuel_batch(self, units: int) -> int:
-        """Draw up to ``units`` of headroom once for a request batch.
-
-        Returns the drawn amount (0 = batch not engaged).  The draw is a
-        single budget comparison: while the batch lasts, ``consume`` and
-        ``consume_metered`` skip their per-call budget checks, because
-        the draw already proved the whole batch fits the headroom.
-        Accounting stays exact — ``fuel_used`` advances per consume, no
-        refund is ever needed, and a batch that runs over its draw falls
-        back to the exact per-call path, so :class:`OutOfFuel` fires at
-        precisely the same consume (with the same ``consumed`` value) as
-        unbatched execution.
-        """
-        if units <= 0:
-            return 0
-        if self.fuel is not None and self.fuel - self._fuel_used < units:
-            return 0
-        self._batch_fuel = units
-        return units
-
-    def end_fuel_batch(self) -> int:
-        """Reconcile the batch: return (and drop) the unused draw."""
-        unused = self._batch_fuel
-        self._batch_fuel = 0
-        return unused
 
     @property
     def fuel_used(self) -> int:

@@ -5,13 +5,12 @@ requests/sec needs request *boundaries*.  A :class:`ServingSession`
 performs an app's ``setup`` once, then serves one request per
 :meth:`serve_one`: feed the line into stdin, bracket the app's
 ``handle`` with the fused image's per-request lifecycle (epoch
-snapshot, trace arming, fuel-batch draw), and count the outcome.
+snapshot, trace arming), and count the outcome.
 
 The fusion pre-pass (:meth:`record_traces`) runs representative
 requests through a *scratch twin* of the session — same app, preset,
 backend, and warmup, but unfused — so recording never perturbs the
-serving session's own state, and the recorded fuel covers exactly what
-a request of that kind consumes.
+serving session's own state.
 """
 
 from __future__ import annotations
@@ -88,8 +87,7 @@ class ServingSession:
 
     ``preset`` is a name from :data:`PRESET_CONFIGS` ("unwrapped" skips
     wrapping entirely).  ``fused`` installs the :class:`FusedImage`
-    facade; ``fuel_batching`` controls the per-request fuel draw;
-    ``resolver`` shares a :class:`ResolverTable` across sessions of the
+    facade; ``resolver`` shares a :class:`ResolverTable` across sessions of the
     same (app, preset) pair.  Pass a shared ``registry``/``api`` to
     amortize their construction across many sessions (benchmarks do).
     """
@@ -101,7 +99,6 @@ class ServingSession:
         backend: str = "compiled",
         telemetry: bool = False,
         fused: bool = True,
-        fuel_batching: bool = True,
         check_memo: bool = True,
         resolver: Optional[ResolverTable] = None,
         registry: Optional[LibcRegistry] = None,
@@ -123,7 +120,6 @@ class ServingSession:
         self.backend = backend
         self.telemetry = telemetry
         self.fused = fused
-        self.fuel_batching = fuel_batching
         self.check_memo = check_memo
         self.resolver = resolver
         self.registry = registry or standard_registry()
@@ -152,9 +148,7 @@ class ServingSession:
                 bus=self.built.bus if self.built is not None else None,
             )
             runtime.prepare(app.imports)
-            self.image = FusedImage(base, runtime,
-                                    fuel_batching=fuel_batching,
-                                    check_memo=check_memo)
+            self.image = FusedImage(base, runtime, check_memo=check_memo)
         else:
             self.image = base
         self.ctx = app.setup(self.image, [])
@@ -247,7 +241,7 @@ class ServingSession:
         return ServingSession(
             self.app, preset=self.preset, backend=self.backend,
             telemetry=self.telemetry, fused=fused,
-            fuel_batching=self.fuel_batching, check_memo=self.check_memo,
+            check_memo=self.check_memo,
             resolver=self.resolver, registry=self.registry, api=self.api,
             policy=self.policy,
         )
@@ -270,10 +264,8 @@ class ServingSession:
         recorded: Dict[str, int] = {}
         for kind, line in samples.items():
             recorder = TraceRecorder(twin.image)
-            fuel_before = twin.process.fuel_used
             twin.process.fs.feed_stdin(line + b"\n")
             self.app.handle(recorder, twin.ctx)
-            runtime.add_trace(kind, recorder.names,
-                              fuel=twin.process.fuel_used - fuel_before)
+            runtime.add_trace(kind, recorder.names)
             recorded[kind] = len(recorder.names)
         return recorded

@@ -38,10 +38,10 @@ and :class:`FusedRuntime`/:class:`FusedImage` use those parts to execute
 a recorded per-request call trace through pre-resolved *fused entries* —
 the resolved target itself for direct-form chains, an exec-unrolled
 guard ladder for frame-free chains — with one telemetry-mode decision
-and one fuel draw per request instead of per call.  A request whose
-calls diverge from the trace deopts to a per-name entry table and, past
-that, to the plain ``LinkedImage`` PLT, so fused execution stays
-byte-identical to unfused (same faults, errno, violations, fuel).
+per request instead of per call.  A request whose calls diverge from
+the trace deopts to a per-name entry table and, past that, to the
+plain ``LinkedImage`` PLT, so fused execution stays byte-identical to
+unfused (same faults, errno, violations, fuel).
 """
 
 from __future__ import annotations
@@ -93,13 +93,8 @@ def _guard_body(steps: List[_Step], names: List[str],
     """Frame-free branch: every prefix is a guard, the only postfix is
     the intercepted call.  Guards either pass (None) or contain the call
     with a one-tuple carrying the error return — no CallFrame needed."""
-    if not steps or not any(phase == "prefix" for _, _, phase in steps):
+    if _guard_steps(steps) is None:
         return None
-    for _, owner, phase in steps:
-        if phase == "prefix" and owner.guard is None:
-            return None
-        if phase == "postfix" and owner.direct_target is None:
-            return None
     lines = [
         f"{indent}base = args[:ARITY]",
         f"{indent}extra = args[ARITY:]",
@@ -119,9 +114,9 @@ def _guard_body(steps: List[_Step], names: List[str],
 def _guard_steps(steps: List[_Step]) -> "Tuple[Callable, ...] | None":
     """The ordered guard callables when a chain is frame-free guard form.
 
-    Mirrors the eligibility test of :func:`_guard_body` exactly: at least
-    one prefix, every prefix offers a ``guard``, every postfix is the
-    intercepted call.  Returns None when the chain needs a CallFrame.
+    Eligible means at least one prefix, every prefix offers a ``guard``,
+    and every postfix is the intercepted call.  Returns None when the
+    chain needs a CallFrame.
     """
     if not steps or not any(phase == "prefix" for _, _, phase in steps):
         return None
@@ -362,17 +357,10 @@ def fused_entry(impl: Callable, live: bool) -> Callable:
 
 @dataclass(frozen=True)
 class CallTrace:
-    """A recorded hot call sequence for one request kind.
-
-    ``fuel`` is the fuel one such request consumed when recorded; the
-    fused image draws it as a batch so the whole request pays a single
-    budget comparison (requests that run longer than the recording fall
-    back to exact per-call accounting mid-request).
-    """
+    """A recorded hot call sequence for one request kind."""
 
     kind: str
     names: Tuple[str, ...]
-    fuel: int = 0
 
 
 class TraceRecorder:
@@ -440,11 +428,9 @@ class FusedRuntime:
             table[name] = entry
         return entry
 
-    def add_trace(self, kind: str, names: Sequence[str],
-                  fuel: int = 0) -> None:
+    def add_trace(self, kind: str, names: Sequence[str]) -> None:
         """Register (or replace) the hot trace for a request kind."""
-        self.traces[kind] = CallTrace(kind=kind, names=tuple(names),
-                                      fuel=fuel)
+        self.traces[kind] = CallTrace(kind=kind, names=tuple(names))
         for programs in self._programs:
             programs.pop(kind, None)
 
@@ -509,8 +495,8 @@ class FusedImage:
     real ``LinkedImage.call``, so nothing observable changes.
 
     ``begin_request``/``end_request`` bracket each request: they take
-    the once-per-request epoch snapshot, arm the trace program, and draw
-    or reconcile the fuel batch.
+    the once-per-request epoch snapshot and arm (then disarm) the trace
+    program.  Fuel is metered per call, exactly as unfused.
 
     With ``check_memo`` (the default) the image installs a
     :class:`~repro.robust.checks.CheckMemo` on the process so the guard
@@ -521,16 +507,15 @@ class FusedImage:
     range could have moved — any writer, ``gets`` and ``%n`` included.
     """
 
-    __slots__ = ("image", "process", "runtime", "fuel_batching", "memo",
+    __slots__ = ("image", "process", "runtime", "memo",
                  "_steps", "_pos", "trace_hits", "deopts", "table_calls",
                  "fallback_calls", "deopt_level", "_table")
 
     def __init__(self, image, runtime: FusedRuntime,
-                 fuel_batching: bool = True, check_memo: bool = True):
+                 check_memo: bool = True):
         self.image = image
         self.process = image.process
         self.runtime = runtime
-        self.fuel_batching = fuel_batching
         if check_memo:
             memo = self.process.check_memo
             if memo is None:
@@ -544,9 +529,9 @@ class FusedImage:
         self._steps: Tuple[Tuple[str, Callable, list], ...] = ()
         self._pos = 0
         #: graceful-degradation rung: 0 = all lanes, 1 = table lane only
-        #: (no trace replay, no verdict slots, no fuel batch), 2 = fused
-        #: lanes bypassed entirely (per-call dispatch through the
-        #: wrapped PLT).  Takes effect at the next ``begin_request``.
+        #: (no trace replay, no verdict slots), 2 = fused lanes bypassed
+        #: entirely (per-call dispatch through the wrapped PLT).  Takes
+        #: effect at the next ``begin_request``.
         self.deopt_level = 0
         self._table = runtime.table
         self.trace_hits = 0
@@ -612,18 +597,13 @@ class FusedImage:
             self._steps = ()
             return
         self._steps = runtime.program(kind)
-        if self.fuel_batching:
-            trace = runtime.traces.get(kind)
-            if trace is not None and trace.fuel > 0:
-                self.process.begin_fuel_batch(trace.fuel)
 
-    def end_request(self) -> int:
-        """Close the request; returns the unused fuel draw."""
+    def end_request(self) -> None:
+        """Close the request, counting a trace hit if it ran to the end."""
         if self._steps and self._pos >= len(self._steps):
             self.trace_hits += 1
         self._steps = ()
         self._pos = 0
-        return self.process.end_fuel_batch()
 
     def __getattr__(self, attr):
         return getattr(self.image, attr)

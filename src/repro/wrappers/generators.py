@@ -18,7 +18,6 @@ from typing import Any, Callable, Optional
 
 from repro.errors import SecurityViolation
 from repro.headers.model import CType, Prototype
-from repro.robust import checks as checks_mod
 from repro.robust.checks import ArgumentChecker
 from repro.runtime.process import Errno
 from repro.telemetry import (
@@ -327,165 +326,56 @@ class ArgCheckGen(MicroGenerator):
             # nothing can ever fire: elide the per-call prefix entirely
             return RuntimeHooks(generator=self.name)
         emit = unit.bus.emit
-        convention = source.error_return
-        error_value = error_return_value(unit.prototype, convention)
+        function = unit.name
+        contained = (error_return_value(unit.prototype,
+                                        source.error_return),)
         recovery = self._recovery()
         escalates = (recovery is not None and
-                     recovery.action_for(unit.name, "argcheck")
+                     recovery.action_for(function, "argcheck")
                      == "escalate")
-        # fast path: one bound closure, no validate/validate_all layers
-        validate = (checker.bound_validator() if unit.fastpath
-                    else checker.validate)
+
+        def violate(process, param, detail: str):
+            emit(ViolationEvent(function=function, param=param.name,
+                                check=param.check, detail=detail))
+            if recovery is not None:
+                emit(RecoveryEvent(
+                    function=function, violation="argcheck",
+                    action="escalate" if escalates else "contain",
+                    recovered=not escalates, detail=detail,
+                ))
+            if escalates:
+                raise SecurityViolation(function, detail)
+            process.errno = (Errno.EFAULT
+                             if param.check.startswith(_MEMORY_CHECKS)
+                             else Errno.EINVAL)
+            return contained
+
+        if unit.fastpath:
+            # frame-free form for the compiled backend: the plan loop
+            # behind the verdict memo, containing through ``violate``
+            guard = checker.memoized(violate)
+        else:
+            params = {(param.name, param.check): param
+                      for param in checker.ordered}
+
+            def guard(process, args, varargs):
+                violation = checker.validate(process, args, varargs)
+                if violation is None:
+                    return None
+                return violate(process,
+                               params[violation.param, violation.check],
+                               violation.detail)
 
         def check(frame: CallFrame) -> None:
             if frame.skip_call:
                 return
-            violation = validate(frame.process, frame.args,
-                                 frame.varargs)
-            if violation is not None:
-                emit(
-                    ViolationEvent(
-                        function=violation.function,
-                        param=violation.param,
-                        check=violation.check,
-                        detail=violation.detail,
-                    )
-                )
-                if recovery is not None:
-                    emit(RecoveryEvent(
-                        function=violation.function, violation="argcheck",
-                        action="escalate" if escalates else "contain",
-                        recovered=not escalates, detail=violation.detail,
-                    ))
-                if escalates:
-                    raise SecurityViolation(violation.function,
-                                            violation.detail)
+            refused = guard(frame.process, frame.args, frame.varargs)
+            if refused is not None:
                 frame.skip_call = True
-                frame.ret = error_value
-                frame.process.errno = (
-                    Errno.EFAULT
-                    if violation.check.startswith(_MEMORY_CHECKS)
-                    else Errno.EINVAL
-                )
+                frame.ret = refused[0]
 
-        guard = None
-        if unit.fastpath:
-            guard = self._build_guard(unit, checker, emit, error_value,
-                                      recovery is not None, escalates)
-        return RuntimeHooks(generator=self.name, prefix=check, guard=guard)
-
-    @staticmethod
-    def _build_guard(unit: WrapperUnit, checker: ArgumentChecker,
-                     emit: Callable, error_value: Any,
-                     has_recovery: bool = False,
-                     escalates: bool = False) -> Callable:
-        """Frame-free form of the check prefix for the compiled backend.
-
-        The plan loop, violation event, errno selection and contained
-        return are fused into one closure with the errno precomputed per
-        check — behaviourally identical to ``check`` above minus the
-        CallFrame plumbing.
-        """
-        plan, slots, needs_values = checker.compiled_plan
-        entries = [
-            (param.name, param.check, index, check_fn,
-             Errno.EFAULT if param.check.startswith(_MEMORY_CHECKS)
-             else Errno.EINVAL)
-            for param, index, check_fn in plan
-        ]
-        function = unit.name
-        contained = (error_value,)
-        # mirror of bound_validator's verdict memo: a clean pass whose
-        # checks are all memory+args pure can be replayed straight from
-        # process.check_memo (violating runs always re-execute so their
-        # events, errno and containment repeat exactly)
-        memoizable = all(param.check != "file_open"
-                         for param, _index, _fn in plan)
-        vid = next(checks_mod._verdict_ids) if memoizable else 0
-        verdict_limit = checks_mod._VERDICT_LIMIT
-        probation = checks_mod._VERDICT_PROBATION
-        # adaptive, as in bound_validator: drop out when verdicts for
-        # this function keep getting evicted instead of replayed
-        tries = 0
-        wins = 0
-        enabled = memoizable
-
-        def guard(process, args, varargs):
-            nonlocal tries, wins, enabled
-            # fuel-budgeted runs never replay (see bound_validator): a
-            # fuel credit cannot reproduce a mid-check OutOfFuel
-            memo = (process.check_memo
-                    if enabled and process.fuel is None else None)
-            key = None
-            fuel_before = 0
-            if memo is not None:
-                if memo.stamp != memo.space.mutations:
-                    memo.sync()
-                key = (vid,
-                       args if type(args) is tuple else tuple(args),
-                       tuple(varargs) if varargs else ())
-                bucket = memo.verdicts.get(key)
-                if bucket is not None:
-                    # polyvariant per-shape candidates, as in
-                    # bound_validator
-                    for slot, (delta, deps) in enumerate(bucket):
-                        if checks_mod._deps_intact(process, memo, deps):
-                            if slot:
-                                bucket.insert(0, bucket.pop(slot))
-                            process._fuel_used += delta
-                            memo.hits += 1
-                            memo.last = bucket[0]
-                            wins += 1
-                            return None
-                tries += 1
-                if tries >= probation:
-                    if wins * 2 < tries:
-                        enabled = False
-                        memo = None
-                        key = None
-                    else:
-                        tries = 0
-                        wins = 0
-                if memo is not None:
-                    memo.dep_log = []
-                    memo.dep_broken = False
-                    fuel_before = process._fuel_used
-            values = ({name: args[index] for name, index in slots}
-                      if needs_values else None)
-            for pname, pcheck, index, check_fn, errno_value in entries:
-                value = args[index] if index is not None else None
-                detail = check_fn(process, value, values, varargs)
-                if detail is not None:
-                    if memo is not None:
-                        memo.dep_log = None
-                    emit(ViolationEvent(function=function, param=pname,
-                                        check=pcheck, detail=detail))
-                    if has_recovery:
-                        emit(RecoveryEvent(
-                            function=function, violation="argcheck",
-                            action="escalate" if escalates else "contain",
-                            recovered=not escalates, detail=detail,
-                        ))
-                    if escalates:
-                        raise SecurityViolation(function, detail)
-                    process.errno = errno_value
-                    return contained
-            if memo is not None:
-                log = memo.dep_log
-                memo.dep_log = None
-                if log is not None and not memo.dep_broken:
-                    record = (process._fuel_used - fuel_before, log)
-                    memo.last = record
-                    bucket = memo.verdicts.get(key)
-                    if bucket is not None:
-                        bucket.insert(0, record)
-                        if len(bucket) > checks_mod._VERDICT_SHAPES:
-                            bucket.pop()
-                    elif len(memo.verdicts) < verdict_limit:
-                        memo.verdicts[key] = [record]
-            return None
-
-        return guard
+        return RuntimeHooks(generator=self.name, prefix=check,
+                            guard=guard if unit.fastpath else None)
 
 
 class LogCallGen(MicroGenerator):

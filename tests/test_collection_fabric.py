@@ -409,9 +409,13 @@ class TestRestartReplay:
                           spool_key=key) as reborn:
             assert len(reborn.store) == 6
         # a restart without the deployment key must refuse the spool
-        # rather than ingest records it cannot authenticate
+        # rather than ingest records it cannot authenticate, and the
+        # refused server must not leak its listening socket or selector
+        unkeyed = IngestServer(shards=2, spool_dir=spool)
         with pytest.raises(SpoolAuthenticationError):
-            IngestServer(shards=2, spool_dir=spool).start()
+            unkeyed.start()
+        assert unkeyed._socket.fileno() == -1
+        assert unkeyed._selector.get_map() is None
 
     def test_restart_with_different_shard_count(self, tmp_path):
         spool = str(tmp_path / "spool")

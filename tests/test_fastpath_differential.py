@@ -19,6 +19,7 @@ from repro.libc import standard_registry
 from repro.linker import DynamicLinker, SharedLibrary
 from repro.manpages import load_corpus
 from repro.robust import RobustAPIDocument, derive_api
+from repro.robust.checks import CheckMemo
 from repro.runtime import SimProcess
 from repro.wrappers import PRESETS, WrapperFactory
 
@@ -71,12 +72,16 @@ def document(registry):
                                    derive_api(result, registry, pages))
 
 
-def build_backend(registry, document, preset, backend):
+def build_backend(registry, document, preset, backend, memo=False):
+    """A wrapped twin; ``memo`` installs a ``CheckMemo`` on its process
+    the way the fused serving image does."""
     linker = DynamicLinker()
     linker.add_library(SharedLibrary.from_registry(registry))
     factory = WrapperFactory(registry, document)
     built = factory.preload(linker, PRESETS[preset], backend=backend)
     proc = SimProcess()
+    if memo:
+        proc.check_memo = CheckMemo(proc)
     pool = [
         0,
         proc.alloc_cstring(b"differential"),
@@ -118,13 +123,19 @@ def assert_states_match(compiled, interpreted):
     assert set(cs.exectime_ns) == set(ks.exectime_ns)
 
 
-@pytest.mark.parametrize(
-    "preset", ["profiling", "logging", "robustness", "security", "hardened"]
-)
+@pytest.mark.parametrize("preset,memo", [
+    pytest.param(preset, memo, id=preset + ("-memo" if memo else ""))
+    for memo in (False, True)
+    for preset in ("profiling", "logging", "robustness", "security",
+                   "hardened")
+])
 @given(sequence=SEQUENCE)
 @COMMON
-def test_backends_agree(registry, document, preset, sequence):
-    compiled = build_backend(registry, document, preset, "compiled")
+def test_backends_agree(registry, document, preset, memo, sequence):
+    # memo=True fuzzes the verdict memo's record, replay and violation
+    # paths on the compiled twin against the unmemoized reference
+    compiled = build_backend(registry, document, preset, "compiled",
+                             memo=memo)
     interpreted = build_backend(registry, document, preset, "interpreted")
     got_compiled = run_sequence(compiled[0], compiled[2], compiled[3],
                                 sequence)

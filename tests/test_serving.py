@@ -1,7 +1,7 @@
 """Serving sessions: fused execution must be byte-identical to unfused.
 
 The fused fast path (trace programs, per-step verdict slots, check
-memo, fuel batching) is a performance transformation only.  Hypothesis
+memo) is a performance transformation only.  Hypothesis
 drives random request streams — benign kinds, irregular traffic,
 mis-labelled trace kinds (forcing deopts), shutdowns, and payloads
 that violate mid-stream — through twin sessions and demands identical
