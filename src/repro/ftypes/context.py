@@ -40,6 +40,10 @@ GOLDEN_PATH = b"/etc/golden.conf"
 
 WCHAR_SIZE = 4
 
+#: one period of the in_buffer fill pattern ``(i * 7 + 3) % 256``; the
+#: sequence repeats every 256 bytes because 7 * 256 is 0 mod 256
+_IN_BUFFER_PERIOD = bytes((i * 7 + 3) % 256 for i in range(256))
+
 
 class ProbeContext:
     """Materialises and tracks one probe's argument state."""
@@ -183,9 +187,9 @@ class ProbeContext:
             proc.space.write_cstring(address, b"seed")
             self.texts[param.name] = b"seed"
         elif role_name == "in_buffer":
-            proc.space.write(
-                address, bytes((i * 7 + 3) % 256 for i in range(capacity))
-            )
+            repeats = capacity // len(_IN_BUFFER_PERIOD) + 1
+            proc.space.write(address,
+                             (_IN_BUFFER_PERIOD * repeats)[:capacity])
         elif role_name == "out_wstring":
             proc.space.write_u32(address, 0)
         return address

@@ -87,13 +87,13 @@ def format_into(proc: SimProcess, fmt: int, args: List, limit=None,
     ``%n``, with ``-``/``0`` flags, width, precision and ``l``/``ll``/``z``
     length modifiers.
 
-    With unlimited fuel and the space in bulk mode the engine renders
-    from a prefetched copy of the format with chunked emission — same
-    bytes, same fuel total, same fault addresses as the per-byte
-    reference loop below, which remains authoritative whenever a budget
-    could trip mid-render or the space is in scalar mode.
+    With the space in bulk mode the engine renders from a prefetched copy
+    of the format with chunked emission, under any fuel budget: same
+    bytes, same fuel, same ``OutOfFuel`` and fault addresses as the
+    per-byte reference loop below, which runs in scalar mode and for
+    the few format shapes the prefetch cannot represent.
     """
-    if not proc.space.scalar and proc.fuel is None:
+    if not proc.space.scalar:
         result = _bulk_format_into(proc, fmt, args, limit, out_address,
                                    writer)
         if result is not None:
@@ -102,10 +102,16 @@ def format_into(proc: SimProcess, fmt: int, args: List, limit=None,
 
 
 def _scalar_format_into(proc: SimProcess, fmt: int, args: List, limit=None,
-                        out_address=None, writer=None) -> int:
-    """Per-byte reference printf engine (exact fuel/fault interleaving)."""
+                        out_address=None, writer=None, resume=None) -> int:
+    """Per-byte reference printf engine (exact fuel/fault interleaving).
+
+    ``resume`` is ``(cursor, produced, arg_index, pending)``: the state
+    at which the bulk engine hands over, ``pending`` being the rendered
+    bytes of the current directive that are still to be emitted.
+    """
     produced = 0
     arg_index = 0
+    cursor = fmt
 
     def emit(chunk: bytes) -> None:
         nonlocal produced
@@ -118,7 +124,9 @@ def _scalar_format_into(proc: SimProcess, fmt: int, args: List, limit=None,
                     proc.space.write(out_address + produced, bytes([byte]))
             produced += 1
 
-    cursor = fmt
+    if resume is not None:
+        cursor, produced, arg_index, pending = resume
+        emit(pending)
     while True:
         proc.consume()
         byte = proc.space.read(cursor, 1)[0]
@@ -238,9 +246,16 @@ def _parse_spec_bytes(data: bytes, index: int, stop: int):
 
 
 def _bulk_read_string(proc: SimProcess, address: int, precision) -> bytes:
-    """:func:`_read_string_fuelled` with one scan and one fuel draw."""
+    """:func:`_read_string_fuelled` with one scan and one fuel draw.
+
+    The loop draws one unit before each byte it reads, so it never reads
+    a byte at or past the fuel headroom; the scan stops there too.
+    """
     space = proc.space
-    bound = precision if precision is not None else None
+    bound = precision
+    headroom = proc.fuel_headroom()
+    if headroom is not None and (bound is None or headroom < bound):
+        bound = headroom
     index, scanned = space.find_byte(address, 0, bound)
     if index is not None:
         # terminator found: the loop consumed once per data byte plus
@@ -251,10 +266,11 @@ def _bulk_read_string(proc: SimProcess, address: int, precision) -> bytes:
         # precision cap reached before any terminator
         proc.consume_metered(precision + 1)
         return space.read_run(address, precision)
-    # ran off readable memory: consume up to the faulting read, then
-    # raise the exact fault the per-byte loop would have raised
+    # ran off readable memory, or reached the headroom: consume up to the
+    # faulting read (the budget trips first at the headroom), then raise
+    # the exact fault the per-byte loop would have raised
     proc.consume_metered(scanned + 1)
-    proc.space.read(address + scanned, 1)
+    space.read(address + scanned, 1)
     raise AssertionError("%s fault replay did not fault")
 
 
@@ -262,90 +278,117 @@ def _bulk_format_into(proc: SimProcess, fmt: int, args: List, limit,
                       out_address, writer):
     """Chunked printf engine; None means "use the reference loop".
 
-    Byte/fuel/fault parity with :func:`_scalar_format_into` under
-    unlimited fuel: every scan unit the reference loop would consume is
-    drawn with ``consume_metered``, emission writes whole chunks with
-    the fault-replay idiom of :meth:`AddressSpace.write_run`, and any
-    shape the prefetch cannot represent (unterminated format, directive
-    truncated at the NUL) defers wholesale before any side effect.
+    Byte/fuel/fault parity with :func:`_scalar_format_into` under any
+    budget.  The format is prefetched up to its terminator, or up to the
+    first unreadable byte, where the engine renders the readable prefix
+    and then replays the loop's faulting read.  Every unit the loop
+    would draw is drawn with ``consume_metered``, and each emission is
+    clamped to the bytes the loop would have finished before its budget
+    trips or its first faulting write.  A directive cut off at the end
+    of the prefetch (the loop would parse past the NUL or fault
+    mid-directive) defers, before any side effect.  A write onto format
+    bytes the loop has yet to read (a destination overlapping the
+    format, a ``%n`` into it) hands the rest of the call to the loop,
+    resumed at the state reached.
     """
     space = proc.space
-    terminator, _scanned = space.find_byte(fmt, 0)
-    if terminator is None:
-        return None  # unmapped or unterminated: reference loop faults
-    data = space.read_run(fmt, terminator + 1)
-    # validate every directive before any side effect: a spec truncated
-    # at the NUL makes the reference loop scan past the terminator, a
-    # shape the prefetch cannot replay
-    probe = 0
-    while True:
-        percent = data.find(0x25, probe, terminator)
-        if percent < 0:
-            break
-        parsed = _parse_spec_bytes(data, percent + 1, terminator)
+    terminator, readable = space.find_byte(fmt, 0)
+    end = readable if terminator is None else terminator
+    data = space.read_run(fmt, end)
+    probe = data.find(0x25)
+    while probe >= 0:
+        parsed = _parse_spec_bytes(data, probe + 1, end)
         if parsed is None:
             return None
-        _spec, probe = parsed
+        probe = data.find(0x25, parsed[1])
     produced = 0
     arg_index = 0
 
-    def emit(chunk: bytes) -> None:
+    def emit(chunk: bytes, stride: int) -> bool:
+        """Emit ``chunk`` drawing ``stride`` units per byte.
+
+        The loop's side effect for byte ``j`` follows unit
+        ``stride * (j + 1)``: a literal byte draws its scan unit and then
+        its emit unit (stride 2), rendered text only emit units (1).
+        False, before any side effect, when a write would land on format
+        bytes the loop has yet to read: the prefetch would go stale, so
+        the reference loop takes over from there.
+        """
         nonlocal produced
         count = len(chunk)
-        if count == 0:
-            return
-        if out_address is not None:
+        headroom = proc.fuel_headroom()
+        done = count if headroom is None else min(count, headroom // stride)
+        if writer is not None:
+            if done:
+                writer(chunk[:done])
+        elif out_address is not None:
             window = count if limit is None else max(
                 0, min(count, (limit - 1) - produced))
-            if window > 0:
+            side = min(window, done)
+            if side:
                 target = out_address + produced
-                writable = space.writable_run(target, window)
-                if writable < window:
+                if (target <= fmt + end
+                        and fmt + position < target + side):
+                    return False
+                writable = space.writable_run(target, side)
+                if writable < side:
                     if writable:
                         space.write_run(target, chunk[:writable])
-                    proc.consume_metered(writable + 1)
+                    proc.consume_metered(stride * (writable + 1))
                     space.write(target + writable, b"\x00")
                     raise AssertionError(
                         "format fault replay did not fault")
-                space.write_run(target, chunk[:window])
-        proc.consume_metered(count)
-        if writer is not None:
-            writer(chunk)
+                space.write_run(target, chunk[:side])
+        proc.consume_metered(stride * count)
         produced += count
+        return True
+
+    def hand_over(pending: bytes) -> int:
+        return _scalar_format_into(
+            proc, fmt, args, limit, out_address, writer,
+            resume=(fmt + position, produced, arg_index, pending))
 
     position = 0
-    while position < terminator:
-        percent = data.find(0x25, position, terminator)
-        run = (terminator if percent < 0 else percent) - position
-        if run:
-            proc.consume_metered(run)  # the scan unit per literal byte
-            emit(data[position : position + run])
-            position += run
+    while position < end:
+        percent = data.find(0x25, position)
+        stop = end if percent < 0 else percent
+        if stop > position:
+            if not emit(data[position:stop], 2):
+                return hand_over(b"")
+            position = stop
         if percent < 0:
             break
         proc.consume_metered(1)  # the scan unit for '%'
-        spec, position = _parse_spec_bytes(data, position + 1, terminator)
-        if spec.conversion == "%":
-            emit(b"%")
-            continue
+        spec, position = _parse_spec_bytes(data, percent + 1, end)
         if spec.conversion == "n":
             if arg_index >= len(args):
                 raise SegmentationFault(
                     0, "read", "va_arg past end of arguments")
-            proc.space.write_i32(args[arg_index], produced)
+            target = args[arg_index]
+            space.write_i32(target, produced)
             arg_index += 1
+            if target <= fmt + end and fmt + position < target + 4:
+                return hand_over(b"")
             continue
-        if arg_index >= len(args):
-            raise SegmentationFault(
-                0, "read", "va_arg past end of arguments")
-        value = args[arg_index]
-        arg_index += 1
-        if spec.conversion == "s" and int(value) != 0:
-            raw = _bulk_read_string(proc, int(value), spec.precision)
-            emit(_finish_text(spec, raw.decode("latin-1")))
+        if spec.conversion == "%":
+            chunk = b"%"
         else:
-            emit(_render(proc, spec, value))
-    proc.consume_metered(1)  # the terminator read
+            if arg_index >= len(args):
+                raise SegmentationFault(
+                    0, "read", "va_arg past end of arguments")
+            value = args[arg_index]
+            arg_index += 1
+            if spec.conversion == "s" and int(value) != 0:
+                raw = _bulk_read_string(proc, int(value), spec.precision)
+                chunk = _finish_text(spec, raw.decode("latin-1"))
+            else:
+                chunk = _render(proc, spec, value)
+        if not emit(chunk, 1):
+            return hand_over(chunk)
+    proc.consume_metered(1)  # the terminator read, or the faulting one
+    if terminator is None:
+        space.read(fmt + end, 1)
+        raise AssertionError("format fault replay did not fault")
     if out_address is not None and (limit is None or limit > 0):
         terminator_at = out_address + min(
             produced, (limit - 1) if limit else produced)

@@ -18,6 +18,7 @@ from repro.libc.registry import (
     libc_function,
     null_on_error,
 )
+from repro.memory.model import Perm
 from repro.runtime.process import Errno, SimProcess
 
 INT_MIN = -(2 ** 31)
@@ -26,6 +27,9 @@ LONG_MIN = -(2 ** 63)
 LONG_MAX = 2 ** 63 - 1
 ULONG_MAX = 2 ** 64 - 1
 RAND_MAX = 2 ** 31 - 1
+
+_PERM_READ = int(Perm.READ)
+_PERM_WRITE = int(Perm.WRITE)
 
 
 def register(reg: LibcRegistry) -> None:
@@ -215,10 +219,14 @@ def register(reg: LibcRegistry) -> None:
         if nmemb == 0:
             return 0
         comparator = proc.resolve_callback(compar)
-        elements = []
-        for index in range(nmemb):
-            proc.consume(size if size > 0 else 1)
-            elements.append(proc.space.read(base + index * size, size))
+        bulk = not proc.space.scalar and size > 0
+        if bulk:
+            elements = _gather(proc, base, nmemb, size)
+        else:
+            elements = []
+            for index in range(nmemb):
+                proc.consume(size if size > 0 else 1)
+                elements.append(proc.space.read(base + index * size, size))
         scratch = proc.heap.malloc(max(size, 1) * 2)
         if scratch == 0:
             proc.errno = Errno.ENOMEM
@@ -235,6 +243,9 @@ def register(reg: LibcRegistry) -> None:
             elements.sort(key=functools.cmp_to_key(cmp))
         finally:
             proc.heap.free(scratch)
+        if bulk:
+            _scatter(proc, base, elements, size)
+            return 0
         for index, element in enumerate(elements):
             proc.consume(size if size > 0 else 1)
             proc.space.write(base + index * size, element)
@@ -437,3 +448,77 @@ def _strtod_scan(proc: SimProcess, nptr: int):
         return (0.0, nptr)
     del start
     return (float(text.decode()), cursor)
+
+
+# ----------------------------------------------------------------------
+# qsort's element loops in bulk
+# ----------------------------------------------------------------------
+
+def _whole_elements(proc: SimProcess, base: int, nmemb: int, size: int,
+                    perm: int) -> int:
+    """Leading elements a one-element ``read``/``write`` accepts.
+
+    Each element access must lie inside one mapping with ``perm``, so an
+    element straddling two adjacent mappings stops the run.
+    """
+    space = proc.space
+    count = 0
+    cursor = base
+    while count < nmemb:
+        mapping = space.find_mapping(cursor)
+        if mapping is None or not (mapping.perm_bits & perm):
+            break
+        count = min(nmemb, count + (mapping.end - cursor) // size)
+        cursor = base + count * size
+        if cursor < mapping.end:
+            break
+    return count
+
+
+def _stop_index(proc: SimProcess, nmemb: int, size: int,
+                reachable: int) -> int:
+    """The element an element loop drawing ``consume(size)`` stops at.
+
+    The loop stops at that element's ``consume`` when the budget trips
+    there, else at its access, which faults; ``nmemb`` means the loop
+    runs to completion.
+    """
+    stop = min(nmemb, reachable)
+    headroom = proc.fuel_headroom()
+    if headroom is not None:
+        stop = min(stop, headroom // size)
+    return stop
+
+
+def _gather(proc: SimProcess, base: int, nmemb: int, size: int) -> list:
+    """qsort's copy-in loop: ``consume(size)``, then read one element.
+
+    ``consume`` is not metered, so a budget that trips mid-loop records
+    the whole element's units past the budget, as the loop does.
+    """
+    space = proc.space
+    reachable = _whole_elements(proc, base, nmemb, size, _PERM_READ)
+    stop = _stop_index(proc, nmemb, size, reachable)
+    if stop < nmemb:
+        proc.consume((stop + 1) * size)
+        space.read(base + stop * size, size)
+        raise AssertionError("qsort replay neither tripped nor faulted")
+    proc.consume(nmemb * size)
+    data = space.read_run(base, nmemb * size)
+    return [data[offset : offset + size]
+            for offset in range(0, nmemb * size, size)]
+
+
+def _scatter(proc: SimProcess, base: int, elements: list, size: int) -> None:
+    """qsort's copy-out loop: ``consume(size)``, then write one element."""
+    space = proc.space
+    nmemb = len(elements)
+    reachable = _whole_elements(proc, base, nmemb, size, _PERM_WRITE)
+    stop = _stop_index(proc, nmemb, size, reachable)
+    if stop:
+        space.write_run(base, b"".join(elements[:stop]))
+    if stop < nmemb:
+        proc.consume((stop + 1) * size)
+        space.write(base + stop * size, elements[stop])
+        raise AssertionError("qsort replay neither tripped nor faulted")
+    proc.consume(nmemb * size)

@@ -227,16 +227,9 @@ def register(reg: LibcRegistry) -> None:
         if needle_len == 0:
             return haystack
         needle_bytes = proc.space.read(needle, needle_len)
-        cursor = haystack
-        while True:
-            proc.consume()
-            byte = proc.space.read(cursor, 1)[0]
-            if byte == 0:
-                return 0
-            if byte == needle_bytes[0]:
-                if proc.space.read(cursor, needle_len) == needle_bytes:
-                    return cursor
-            cursor += 1
+        if proc.space.scalar:
+            return _scalar_strstr(proc, haystack, needle_bytes)
+        return _bulk_strstr(proc, haystack, needle_bytes)
 
     @libc_function(reg, "size_t strspn(const char *s, const char *accept)",
                    header="string.h", category="string")
@@ -244,13 +237,15 @@ def register(reg: LibcRegistry) -> None:
         """Length of the initial segment of s made of accept's bytes."""
         accept_len = helpers.scan_string_length(proc, accept)
         accept_set = set(proc.space.read(accept, accept_len))
-        length = 0
-        while True:
-            proc.consume()
-            byte = proc.space.read(s + length, 1)[0]
-            if byte == 0 or byte not in accept_set:
-                return length
-            length += 1
+        if proc.space.scalar:
+            length = 0
+            while True:
+                proc.consume()
+                byte = proc.space.read(s + length, 1)[0]
+                if byte == 0 or byte not in accept_set:
+                    return length
+                length += 1
+        return _bulk_span(proc, s, accept_set, True)[0]
 
     @libc_function(reg, "size_t strcspn(const char *s, const char *reject)",
                    header="string.h", category="string")
@@ -258,13 +253,15 @@ def register(reg: LibcRegistry) -> None:
         """Length of the initial segment of s free of reject's bytes."""
         reject_len = helpers.scan_string_length(proc, reject)
         reject_set = set(proc.space.read(reject, reject_len))
-        length = 0
-        while True:
-            proc.consume()
-            byte = proc.space.read(s + length, 1)[0]
-            if byte == 0 or byte in reject_set:
-                return length
-            length += 1
+        if proc.space.scalar:
+            length = 0
+            while True:
+                proc.consume()
+                byte = proc.space.read(s + length, 1)[0]
+                if byte == 0 or byte in reject_set:
+                    return length
+                length += 1
+        return _bulk_span(proc, s, reject_set, False)[0]
 
     @libc_function(reg, "char *strpbrk(const char *s, const char *accept)",
                    header="string.h", category="string",
@@ -273,15 +270,18 @@ def register(reg: LibcRegistry) -> None:
         """First byte of s that is in accept, or NULL."""
         accept_len = helpers.scan_string_length(proc, accept)
         accept_set = set(proc.space.read(accept, accept_len))
-        cursor = s
-        while True:
-            proc.consume()
-            byte = proc.space.read(cursor, 1)[0]
-            if byte == 0:
-                return 0
-            if byte in accept_set:
-                return cursor
-            cursor += 1
+        if proc.space.scalar:
+            cursor = s
+            while True:
+                proc.consume()
+                byte = proc.space.read(cursor, 1)[0]
+                if byte == 0:
+                    return 0
+                if byte in accept_set:
+                    return cursor
+                cursor += 1
+        index, hit = _bulk_span(proc, s, accept_set, False)
+        return s + index if hit else 0
 
     @libc_function(reg, "char *strdup(const char *s)",
                    header="string.h", category="string",
@@ -446,6 +446,112 @@ def _scalar_strncpy(proc: SimProcess, dest: int, src: int, n: int) -> None:
             if byte == 0:
                 terminated = True
         offset += 1
+
+
+def _scalar_strstr(proc: SimProcess, haystack: int,
+                   needle_bytes: bytes) -> int:
+    needle_len = len(needle_bytes)
+    cursor = haystack
+    while True:
+        proc.consume()
+        byte = proc.space.read(cursor, 1)[0]
+        if byte == 0:
+            return 0
+        if byte == needle_bytes[0]:
+            if proc.space.read(cursor, needle_len) == needle_bytes:
+                return cursor
+        cursor += 1
+
+
+def _haystack(proc: SimProcess, s: int):
+    """Prefetch the bytes a one-unit-per-byte scan of ``s`` can reach.
+
+    Returns ``(data, terminated)``: the non-NUL bytes before the
+    terminator, or before the first unreadable byte or the fuel headroom
+    (the loop draws one unit before each read, so it never reads the
+    byte at the headroom).
+    """
+    space = proc.space
+    index, scanned = space.find_byte(s, 0, proc.fuel_headroom())
+    if index is not None:
+        return space.read_run(s, index), True
+    return space.read_run(s, scanned), False
+
+
+def _scan_ended(proc: SimProcess, s: int, span: int, terminated: bool):
+    """Charge a scan that ran through ``span`` bytes without stopping.
+
+    At a terminator the loop stops after ``span + 1`` units; otherwise
+    its next unit trips the budget or its next read faults.
+    """
+    proc.consume_metered(span + 1)
+    if not terminated:
+        proc.space.read(s + span, 1)
+        raise AssertionError("scan fault replay did not fault")
+
+
+def _bulk_strstr(proc: SimProcess, haystack: int, needle_bytes: bytes) -> int:
+    """:func:`_scalar_strstr` as a haystack prefetch plus ``bytes.find``.
+
+    The loop reads ``len(needle)`` bytes with one ``read`` at each
+    first-byte match; that read faults when the window leaves its
+    mapping.  A candidate whose window lies inside the prefetch and
+    inside one mapping is decided by the prefetched bytes; the others
+    (near a mapping edge or the prefetch end) replay the loop's read.
+    """
+    space = proc.space
+    data, terminated = _haystack(proc, haystack)
+    span = len(data)
+    size = len(needle_bytes)
+    first = needle_bytes[0]
+    # segment ends: the prefetch end and every mapping edge inside it
+    edges = []
+    cursor = haystack
+    while cursor < haystack + span:
+        cursor = space.find_mapping(cursor).end
+        edges.append(min(cursor, haystack + span) - haystack)
+    start = 0
+    for edge in edges:
+        safe = edge - size + 1  # candidates before this fit the segment
+        if safe > start:
+            found = data.find(needle_bytes, start, edge)
+            if found >= 0:
+                proc.consume_metered(found + 1)
+                return haystack + found
+        position = data.find(first, max(start, safe), edge)
+        while position >= 0:
+            candidate = haystack + position
+            mapping = space.find_mapping(candidate)
+            if candidate + size > mapping.end:
+                proc.consume_metered(position + 1)
+                space.read(candidate, size)
+                raise AssertionError("strstr fault replay did not fault")
+            offset = candidate - mapping.start
+            if mapping.data[offset : offset + size] == needle_bytes:
+                proc.consume_metered(position + 1)
+                return candidate
+            position = data.find(first, position + 1, edge)
+        start = edge
+    _scan_ended(proc, haystack, span, terminated)
+    return 0
+
+
+def _bulk_span(proc: SimProcess, s: int, charset, accept: bool):
+    """The strspn/strcspn/strpbrk scan over a prefetched run.
+
+    Stops at the terminator or at the first byte whose membership in
+    ``charset`` differs from ``accept``.  Returns ``(index, hit)``:
+    ``hit`` is True when a non-NUL byte stopped the scan.
+    """
+    data, terminated = _haystack(proc, s)
+    skip = bytes(charset) if accept else bytes(
+        byte for byte in range(1, 256) if byte not in charset)
+    index = len(data) - len(data.lstrip(skip))
+    if index < len(data):
+        proc.consume_metered(index + 1)
+        return index, True
+    _scan_ended(proc, s, index, terminated)
+    return index, False
 
 
 def _strtok_impl(proc: SimProcess, str_: int, delim: int, save_ptr) -> int:

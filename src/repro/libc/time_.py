@@ -227,28 +227,35 @@ def register(reg: LibcRegistry) -> None:
                  tm: int) -> int:
         """Bounded time formatter; returns 0 when the result overflows."""
         fields = read_tm(proc, tm)
-        out: List[bytes] = []
-        cursor = format_
-        while True:
-            proc.consume()
-            byte = proc.space.read(cursor, 1)[0]
-            cursor += 1
-            if byte == 0:
-                break
-            if byte != 0x25:  # '%'
-                out.append(bytes([byte]))
-                continue
-            conv = chr(proc.space.read(cursor, 1)[0])
-            cursor += 1
-            out.append(_strftime_conv(conv, fields))
-        rendered = b"".join(out)
-        if len(rendered) + 1 > max_:
+        space = proc.space
+        rendered = None
+        if not space.scalar:
+            rendered = _bulk_strftime_scan(proc, format_, fields)
+        if rendered is None:
+            rendered = _scalar_strftime_scan(proc, format_, fields)
+        count = len(rendered)
+        if count + 1 > max_:
             return 0  # per C99: contents undefined, we write nothing
-        for offset, byte in enumerate(rendered):
-            proc.consume()
-            proc.space.write(s + offset, bytes([byte]))
-        proc.space.write(s + len(rendered), b"\x00")
-        return len(rendered)
+        if space.scalar:
+            for offset, byte in enumerate(rendered):
+                proc.consume()
+                space.write(s + offset, bytes([byte]))
+        else:
+            # one unit before each byte's write: clamp the run to the
+            # headroom and to the first unwritable byte
+            writable = space.writable_run(s, count)
+            headroom = proc.fuel_headroom()
+            reach = min(count, writable)
+            side = reach if headroom is None else min(reach, headroom)
+            if side:
+                space.write_run(s, rendered[:side])
+            if writable < count:
+                proc.consume_metered(writable + 1)
+                space.write(s + writable, b"\x00")
+                raise AssertionError("strftime fault replay did not fault")
+            proc.consume_metered(count)
+        space.write(s + count, b"\x00")
+        return count
 
     @libc_function(reg, "clock_t clock(void)",
                    header="time.h", category="time")
@@ -256,6 +263,59 @@ def register(reg: LibcRegistry) -> None:
         """Processor time: the fuel the process has burned."""
         proc.consume()
         return proc.fuel_used
+
+
+def _scalar_strftime_scan(proc: SimProcess, fmt: int, fields: dict) -> bytes:
+    out: List[bytes] = []
+    cursor = fmt
+    while True:
+        proc.consume()
+        byte = proc.space.read(cursor, 1)[0]
+        cursor += 1
+        if byte == 0:
+            break
+        if byte != 0x25:  # '%'
+            out.append(bytes([byte]))
+            continue
+        conv = chr(proc.space.read(cursor, 1)[0])
+        cursor += 1
+        out.append(_strftime_conv(conv, fields))
+    return b"".join(out)
+
+
+def _bulk_strftime_scan(proc: SimProcess, fmt: int, fields: dict):
+    """:func:`_scalar_strftime_scan` over a prefetched format.
+
+    The scan has no side effect but fuel, so it renders first and then
+    draws one unit per loop iteration (a literal byte, a directive, the
+    terminator read) at once.  None defers to the loop: a ``%`` as the
+    last byte makes it read its conversion from the terminator or from
+    unreadable memory.
+    """
+    space = proc.space
+    terminator, readable = space.find_byte(fmt, 0)
+    end = readable if terminator is None else terminator
+    data = space.read_run(fmt, end)
+    pieces = []
+    units = 1  # the terminator read, or the faulting one
+    position = 0
+    while True:
+        percent = data.find(0x25, position)
+        stop = end if percent < 0 else percent
+        pieces.append(data[position:stop])
+        units += stop - position
+        if percent < 0:
+            break
+        if percent + 1 >= end:
+            return None
+        pieces.append(_strftime_conv(chr(data[percent + 1]), fields))
+        units += 1
+        position = percent + 2
+    proc.consume_metered(units)
+    if terminator is None:
+        space.read(fmt + end, 1)
+        raise AssertionError("strftime fault replay did not fault")
+    return b"".join(pieces)
 
 
 def _strftime_conv(conv: str, fields: dict) -> bytes:

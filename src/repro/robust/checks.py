@@ -539,8 +539,9 @@ class ArgumentChecker:
         happy path costs one values mapping at most and no intermediate
         list or dispatch layer.  A clean pass whose checks are all
         memory+args pure is recorded in ``proc.check_memo`` and replayed
-        while its terminator dependencies hold; violating runs always
-        re-execute so their ``violate`` side effects repeat exactly.
+        while its terminator dependencies hold and the fuel headroom
+        covers the fuel it recorded; violating runs always re-execute so
+        their ``violate`` side effects repeat exactly.
         Only meaningful when the checker was built ``compiled=True``.
         """
         plan = self._plan
@@ -563,10 +564,7 @@ class ArgumentChecker:
         def run(proc: SimProcess, args: Sequence[Any],
                 varargs: Sequence[Any]) -> Any:
             nonlocal tries, wins, enabled
-            # fuel-budgeted runs never replay: a recorded verdict's fuel
-            # credit cannot reproduce a mid-check OutOfFuel exactly
-            memo = (proc.check_memo
-                    if enabled and proc.fuel is None else None)
+            memo = proc.check_memo if enabled else None
             key = None
             fuel_before = 0
             if memo is not None:
@@ -577,12 +575,17 @@ class ArgumentChecker:
                        tuple(varargs) if varargs else ())
                 bucket = memo.verdicts.get(key)
                 if bucket is not None:
+                    # a budget that cannot cover a verdict's recorded
+                    # fuel skips its replay: the checks then run and
+                    # trip at the exact unit
+                    headroom = proc.fuel_headroom()
                     # polyvariant: a hot mix cycles a few request shapes
                     # through one buffer, so the same key holds one
                     # candidate per shape; move-to-front keeps the
                     # cycling shape's candidate first
                     for slot, (delta, deps) in enumerate(bucket):
-                        if _deps_intact(proc, memo, deps):
+                        if ((headroom is None or headroom >= delta)
+                                and _deps_intact(proc, memo, deps)):
                             if slot:
                                 bucket.insert(0, bucket.pop(slot))
                             # replay the metered work the skipped guard
@@ -608,16 +611,22 @@ class ArgumentChecker:
                     fuel_before = proc._fuel_used
             values = ({name: args[index] for name, index in slots}
                       if needs_values else None)
-            for param, index, check_fn in plan:
-                value = args[index] if index is not None else None
-                detail = check_fn(proc, value, values, varargs)
-                if detail is not None:
-                    if memo is not None:
-                        memo.dep_log = None
-                    return violate(proc, param, detail)
+            failed = None
+            try:
+                for param, index, check_fn in plan:
+                    value = args[index] if index is not None else None
+                    detail = check_fn(proc, value, values, varargs)
+                    if detail is not None:
+                        failed = param
+                        break
+            finally:
+                # stop recording even when a check raises (OutOfFuel)
+                if memo is not None:
+                    log = memo.dep_log
+                    memo.dep_log = None
+            if failed is not None:
+                return violate(proc, failed, detail)
             if memo is not None:
-                log = memo.dep_log
-                memo.dep_log = None
                 if log is not None and not memo.dep_broken:
                     record = (proc._fuel_used - fuel_before, log)
                     memo.last = record

@@ -104,6 +104,7 @@ class Sandbox:
         try:
             value = call()
         except ProcessExit as exc:
+            _drop_frames(exc)
             return ProbeResult(
                 outcome=Outcome.PASS if exc.status == 0 else Outcome.ERROR,
                 value=exc.status,
@@ -112,6 +113,7 @@ class Sandbox:
                 fuel_used=process.fuel_used - fuel_before,
             )
         except SimulatorError as exc:
+            _drop_frames(exc)
             return ProbeResult(
                 outcome=classify_exception(exc),
                 exception=exc,
@@ -119,6 +121,7 @@ class Sandbox:
                 fuel_used=process.fuel_used - fuel_before,
             )
         except (RecursionError, ZeroDivisionError, OverflowError) as exc:
+            _drop_frames(exc)
             return ProbeResult(
                 outcome=Outcome.CRASH,
                 exception=exc,
@@ -138,3 +141,16 @@ class Sandbox:
             errno=errno_now,
             fuel_used=process.fuel_used - fuel_before,
         )
+
+
+def _drop_frames(exc: Optional[BaseException]) -> None:
+    """Clear the tracebacks of ``exc`` and of its ``__context__`` chain.
+
+    A traceback's frames hold the probe's locals, the whole
+    :class:`SimProcess` among them, so a stored exception would keep
+    every faulting probe's address space alive for as long as the
+    campaign result lives.
+    """
+    while exc is not None:
+        exc.__traceback__ = None
+        exc = exc.__context__

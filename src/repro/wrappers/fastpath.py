@@ -548,15 +548,18 @@ class FusedImage:
                 self._pos = pos + 1
                 process = self.process
                 memo = self.memo
-                if (slot is not None and memo is not None
-                        and process.fuel is None):
-                    if slot[0] == args:
+                if slot is not None and memo is not None:
+                    if slot[0] == args and (
+                            process.fuel is None
+                            or process.fuel_headroom() >= slot[1]):
                         # replay the step's cached clean verdict: same
                         # args, every consulted terminator unmoved →
                         # the guard would pass identically, so credit
                         # its metered fuel and go straight to the
                         # resolved target (one frame for the whole
-                        # guard/size-check/bulk-op step)
+                        # guard/size-check/bulk-op step); a budget that
+                        # cannot cover that fuel runs the guard instead,
+                        # which trips at the exact unit
                         if memo.stamp != memo.space.mutations:
                             memo.sync()
                         if _deps_intact(process, memo, slot[2]):

@@ -12,11 +12,16 @@ constructor arguments* (fault address, access kind, detail, fuel counter),
 ``errno``, fuel used and stream positions.
 """
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulatorError
+from repro.injection import Campaign
 from repro.libc import standard_registry
+from repro.libc.stdio_ import make_file_struct
+from repro.libc.time_ import _break_down, write_tm
+from repro.manpages import load_corpus
 from repro.memory import PAGE_SIZE, AddressSpace, Perm
 from repro.runtime import SimProcess
 from repro.security.guard import _safe_gets
@@ -378,3 +383,280 @@ class TestSafeGetsParity:
                 proc.fuel_used,
             ))
         assert results[0] == results[1]
+
+
+# ----------------------------------------------------------------------
+# budget-aware bulk bodies: printf family, strstr, the span scans,
+# qsort and strftime under random fuel budgets
+# ----------------------------------------------------------------------
+
+#: a budget pick: None runs unlimited, an int picks a budget in
+#: ``[0, need + 1]`` where ``need`` is the fuel the call takes
+#: unlimited, so draws land mid-literal-run, mid-%s, mid-scan,
+#: mid-gather and mid-scatter as often as past the end
+BUDGET = st.one_of(st.none(), st.integers(0, 1 << 20))
+
+FMT_PIECES = st.sampled_from([
+    b"a", b"Hello, ", b"x" * 37, b"%d", b"%i", b"%-6d", b"%05x", b"%lu",
+    b"%c", b"%%", b"%s", b"%.3s", b"%8s", b"%-9s", b"%n", b"%p", b"%u",
+])
+#: the pieces that render neither digits nor '%'
+TEXT_PIECES = {b"a", b"Hello, ", b"x" * 37, b"%c", b"%s", b"%n"}
+#: a last piece that cuts a directive off at the end of the format
+FMT_TAIL = st.sampled_from([b""] * 6 + [b"%", b"%-", b"%l", b"%5."])
+
+
+def scene_procs(follower, blobs):
+    """Processes over the two-page scene: the scalar reference, the
+    vectorized twin, and a scalar spare that measures the call's need.
+
+    ``blobs`` maps an address to bytes planted there (crossing into the
+    second page when it is mapped).
+    """
+    procs = []
+    for scalar in (True, False, True):
+        proc = SimProcess()
+        proc.space.scalar = scalar
+        proc.space.map_region(PAGE_SIZE, Perm.RW, "scene", at=SCENE)
+        if follower is not None:
+            proc.space.map_region(PAGE_SIZE, follower, "scene2",
+                                  at=SCENE + PAGE_SIZE)
+        for address, blob in blobs.items():
+            plant(proc.space, address, blob)
+        procs.append(proc)
+    return procs
+
+
+def observe(proc, outcome):
+    """Everything a bulk body could change, for the parity assert."""
+    return (outcome, proc.errno, proc.fuel_used, proc_snapshot(proc),
+            bytes(proc.fs.stdout),
+            {path: bytes(data) for path, data in proc.fs.files.items()})
+
+
+def run_budgeted(procs, pick, call):
+    """Run ``call`` on the twins under the picked budget; both views.
+
+    The budget is armed last, so only the call under test runs
+    against it.
+    """
+    reference, vectorized, spare = procs
+    if pick is not None:
+        before = spare.fuel_used
+        capture(lambda: call(spare))
+        need = spare.fuel_used - before
+        for proc in (reference, vectorized):
+            proc.fuel = proc.fuel_used + pick % (need + 2)
+    return [observe(proc, capture(lambda: call(proc)))
+            for proc in (reference, vectorized)]
+
+
+BULK = settings(COMMON, max_examples=100)
+
+
+class TestBudgetedBulkParity:
+    #: (function, where sprintf's destination goes): onto the format
+    #: (writes the loop reads back), near the page edge (writes run off
+    #: it), or anywhere in the page
+    @pytest.mark.parametrize("name,dest_kind", [
+        ("sprintf", "format"), ("sprintf", "edge"), ("sprintf", "page"),
+        ("snprintf", "format"), ("snprintf", "edge"), ("printf", None),
+        ("fprintf", None),
+    ])
+    @given(
+        fuel=BUDGET,
+        follower=FOLLOWER,
+        pieces=st.lists(FMT_PIECES, min_size=1, max_size=10),
+        tail_piece=FMT_TAIL,
+        fmt_at_edge=st.booleans(),
+        dest_shift=st.integers(0, PAGE_SIZE - 1),
+        limit=st.integers(0, 300),
+        arg_picks=st.lists(st.sampled_from([0, 0, 0, 1, 2, 3, 4, 5]),
+                           min_size=10, max_size=10),
+        short=st.sampled_from([10, 10, 10, 0, 2, 5]),
+        text=st.binary(min_size=0, max_size=60),
+    )
+    @BULK
+    def test_printf_family(self, name, dest_kind, fuel, follower, pieces,
+                           tail_piece, fmt_at_edge, dest_shift, limit,
+                           arg_picks, short, text):
+        def place(pieces):
+            fmt = b"".join(pieces) + tail_piece
+            # at the edge, no terminator in the first page: the scan
+            # runs into the second page (zeros, read-only, or a hole)
+            fmt_at = (SCENE + PAGE_SIZE - len(fmt) if fmt_at_edge
+                      else SCENE + 64)
+            if dest_kind == "format":
+                dest = fmt_at - 8 + dest_shift % 48
+            elif dest_kind == "edge":
+                dest = SCENE + PAGE_SIZE - 1 - dest_shift % 40
+            else:
+                dest = SCENE + dest_shift
+            return fmt, fmt_at, dest
+
+        fmt, fmt_at, dest = place(pieces)
+        string_at = SCENE + 1024
+        # %s strings (terminated, running off the page, NULL), %n
+        # targets (into the format itself, unmapped) and a plain int;
+        # ``short`` sometimes leaves directives without an argument
+        choices = [string_at, SCENE + PAGE_SIZE - len(text), 0, fmt_at + 3,
+                   SCENE + 3 * PAGE_SIZE, 7]
+        if dest <= fmt_at + len(fmt):
+            # the loop parses what it writes over its own format, so
+            # rendered digits or '%' would become directives with
+            # unbounded widths: keep both out of everything emitted
+            pieces = [piece if piece in TEXT_PIECES else b"%s"
+                      for piece in pieces]
+            text = text.translate(None, b"0123456789%")
+            fmt, fmt_at, dest = place(pieces)
+            choices = [string_at, 0, SCENE + 3 * PAGE_SIZE, 7] * 2
+        args = [choices[pick] for pick in arg_picks[:short]]
+        blobs = {fmt_at: fmt if fmt_at_edge else fmt + b"\x00",
+                 string_at: text.replace(b"\x00", b"") + b"\x00"}
+        if not fmt_at_edge:
+            blobs[SCENE + PAGE_SIZE - len(text)] = text
+        procs = scene_procs(follower, blobs)
+        streams = []
+        for proc in procs:
+            index = proc.fs.open("/out.txt", "w")
+            streams.append(make_file_struct(proc, index))
+        assert streams[0] == streams[1] == streams[2]
+        libc = libc_registry
+        if name == "sprintf":
+            call = lambda proc: libc["sprintf"](proc, dest, fmt_at, *args)
+        elif name == "snprintf":
+            call = lambda proc: libc["snprintf"](proc, dest, limit, fmt_at,
+                                                 *args)
+        elif name == "printf":
+            call = lambda proc: libc["printf"](proc, fmt_at, *args)
+        else:
+            call = lambda proc: libc["fprintf"](proc, streams[0], fmt_at,
+                                                *args)
+        reference, vectorized = run_budgeted(procs, fuel, call)
+        assert vectorized == reference
+
+    @pytest.mark.parametrize("name",
+                             ["strstr", "strspn", "strcspn", "strpbrk"])
+    @given(
+        fuel=BUDGET,
+        follower=FOLLOWER,
+        haystack=st.lists(st.sampled_from(b"aabbc"), min_size=0,
+                          max_size=120).map(bytes),
+        nul_at=st.one_of(st.none(), st.integers(0, 130)),
+        needle=st.lists(st.sampled_from(b"abc"), min_size=0,
+                        max_size=4).map(bytes),
+        tail=st.integers(1, 130),
+    )
+    @BULK
+    def test_scan_family(self, name, fuel, follower, haystack, nul_at,
+                         needle, tail):
+        """Haystacks end at, cross, or run off the first page's edge,
+        so needle-wide reads at a match can fault across it."""
+        if nul_at is not None:
+            haystack = haystack[:nul_at] + b"\x00" + haystack[nul_at:]
+        start = SCENE + PAGE_SIZE - tail
+        needle_at = SCENE + 512
+        blobs = {start: haystack, needle_at: needle + b"\x00"}
+        procs = scene_procs(follower, blobs)
+        reference, vectorized = run_budgeted(
+            procs, fuel,
+            lambda proc: libc_registry[name](proc, start, needle_at))
+        assert vectorized == reference
+
+    @given(
+        fuel=BUDGET,
+        follower=FOLLOWER,
+        items=st.binary(min_size=0, max_size=120),
+        nmemb=st.integers(0, 40),
+        size=st.integers(0, 9),
+        tail=st.integers(0, 140),
+    )
+    @BULK
+    def test_qsort(self, fuel, follower, items, nmemb, size, tail):
+        """Element arrays straddle the page edge; budgets trip in the
+        gather, between comparator calls and in the scatter."""
+        base = SCENE + PAGE_SIZE - tail
+        procs = scene_procs(follower, {base: items})
+        comparators = [proc.register_callback(_first_byte_order)
+                       for proc in procs]
+        assert comparators[0] == comparators[1] == comparators[2]
+        reference, vectorized = run_budgeted(
+            procs, fuel, lambda proc: libc_registry["qsort"](
+                proc, base, nmemb, size, comparators[0]))
+        assert vectorized == reference
+
+    @given(
+        fuel=BUDGET,
+        follower=FOLLOWER,
+        pieces=st.lists(st.sampled_from([
+            b"at ", b"x" * 23, b"%Y", b"%m", b"%d", b"%H:%M:%S", b"%a",
+            b"%b", b"%j", b"%%", b"%q"]), min_size=0, max_size=10),
+        tail_piece=st.sampled_from([b"", b"", b"%"]),
+        fmt_at_edge=st.booleans(),
+        dest_tail=st.integers(1, 200),
+        max_=st.integers(0, 260),
+        stamp=st.integers(0, 2 ** 31 - 1),
+    )
+    @BULK
+    def test_strftime(self, fuel, follower, pieces, tail_piece, fmt_at_edge,
+                      dest_tail, max_, stamp):
+        fmt = b"".join(pieces) + tail_piece
+        if fmt_at_edge:
+            fmt_at = SCENE + PAGE_SIZE - len(fmt)
+            blobs = {fmt_at: fmt}
+        else:
+            fmt_at = SCENE + 64
+            blobs = {fmt_at: fmt + b"\x00"}
+        procs = scene_procs(follower, blobs)
+        tm_at = SCENE + 1024
+        for proc in procs:
+            write_tm(proc, tm_at, _break_down(stamp))
+        dest = SCENE + PAGE_SIZE - dest_tail
+        reference, vectorized = run_budgeted(
+            procs, fuel, lambda proc: libc_registry["strftime"](
+                proc, dest, max_, fmt_at, tm_at))
+        assert vectorized == reference
+
+
+def _first_byte_order(proc, left, right):
+    return proc.space.read(left, 1)[0] - proc.space.read(right, 1)[0]
+
+
+# ----------------------------------------------------------------------
+# the same parity over the campaign's own probes
+# ----------------------------------------------------------------------
+
+#: the bodies whose bulk paths run under the campaign's probe budget
+BULK_BODIES = ["sprintf", "snprintf", "printf", "fprintf", "strstr",
+               "strspn", "strcspn", "strpbrk", "qsort", "strftime"]
+
+
+def _sweep(campaign):
+    rows = []
+    for name in BULK_BODIES:
+        for probe, value in campaign.probe_plan(name):
+            execution = campaign.execute_probe(probe, value)
+            result = execution.result
+            if result is None:
+                rows.append((probe, execution.setup_error))
+                continue
+            exc = result.exception
+            rows.append((probe, execution.setup_error, result.outcome,
+                         result.errno, result.fuel_used, type(exc),
+                         None if exc is None else exc.args))
+    return rows
+
+
+class TestCampaignParity:
+    def test_every_planned_probe_matches_the_scalar_backend(
+            self, monkeypatch):
+        """Each probe of the rewritten bodies, run in a budgeted probe
+        process, ends identically on both memory backends."""
+        campaign = Campaign(libc_registry, manpages=load_corpus())
+        monkeypatch.delenv("HEALERS_SCALAR_MEMORY", raising=False)
+        vectorized = _sweep(campaign)
+        monkeypatch.setenv("HEALERS_SCALAR_MEMORY", "1")
+        reference = _sweep(campaign)
+        assert len(vectorized) == 265
+        for got, want in zip(vectorized, reference):
+            assert got == want

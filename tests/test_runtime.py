@@ -1,5 +1,8 @@
 """Tests for the simulated process runtime and probe sandbox."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.errors import (
@@ -175,6 +178,17 @@ class TestSandbox:
         proc = SimProcess()
         result = sandbox.run(proc, lambda: proc.consume(7))
         assert result.fuel_used == 7
+
+    def test_stored_fault_does_not_pin_the_process(self):
+        """A result keeps its exception, but not the probe's frames:
+        they would hold the whole address space alive with it."""
+        proc = SimProcess()
+        alive = weakref.ref(proc)
+        result = Sandbox().run(proc, lambda: proc.space.read(0, 1))
+        del proc
+        gc.collect()
+        assert isinstance(result.exception, SegmentationFault)
+        assert alive() is None
 
 
 class TestOutcome:

@@ -163,8 +163,9 @@ def test_fused_matches_unfused(registry, serving_api, backend, case,
 @given(stream=STREAM)
 @COMMON
 def test_fused_matches_under_fuel_budget(registry, serving_api, stream):
-    """Budgeted runs bypass every memo replay yet stay identical —
-    including where in the stream the budget runs out."""
+    """Budgeted runs replay only verdicts their headroom covers and
+    stay identical — including where in the stream the budget runs
+    out."""
     requests = materialize("kvd", stream)
     fused = build_session(APPS["kvd"], "robustness", registry,
                           serving_api, fused=True, fuel=60_000)
@@ -231,6 +232,61 @@ class TestVerdictMemo:
         fs, us = fused.built.state, unfused.built.state
         assert fs.violations == us.violations
         assert len(fs.violations) == len(bad)  # one per bad GET, every time
+
+
+class TestBudgetedReplay:
+    """A verdict replay credits the fuel its guard recorded, so it runs
+    only when the budget's headroom covers that fuel."""
+
+    KIND = "echo:ping"
+
+    def warmed(self, registry, serving_api, fused):
+        session = build_session(APPS["httpd"], "robustness", registry,
+                                serving_api, fused=fused)
+        session.serve_all([self.request(), self.request()])
+        return session
+
+    def request(self):
+        line = LoadGenerator("httpd", mix="hot", seed=3).samples[self.KIND]
+        return Request(line=line, kind=self.KIND)
+
+    def spy_on_sprintf_slot(self, session):
+        """Record the fuel at which the sprintf step (its guard dry-runs
+        the format) starts, each time its slot replays."""
+        slot = next(step[2] for step in session.runtime.program(self.KIND)
+                    if step[2] is not None and step[2][1] > 0)
+        target = slot[3]
+        starts = []
+
+        def spy(process, *args):
+            starts.append(process.fuel_used - slot[1])
+            return target(process, *args)
+
+        slot[3] = spy
+        return slot[1], starts
+
+    def test_step_replays_only_when_the_headroom_covers_it(
+            self, registry, serving_api):
+        probe = self.warmed(registry, serving_api, fused=True)
+        delta, starts = self.spy_on_sprintf_slot(probe)
+        before = probe.process.fuel_used
+        probe.serve_one(self.request())
+        assert len(starts) == 1
+        offset = starts[0] - before
+        for short in (0, 1):
+            fused = self.warmed(registry, serving_api, fused=True)
+            unfused = self.warmed(registry, serving_api, fused=False)
+            assert fused.process.fuel_used == unfused.process.fuel_used
+            for session in (fused, unfused):
+                session.process.fuel = (session.process.fuel_used + offset
+                                        + delta - short)
+            _delta, starts = self.spy_on_sprintf_slot(fused)
+            outcome = run_stream(fused, [self.request()])
+            assert outcome == run_stream(unfused, [self.request()])
+            # covered: the step replays and the body trips; one unit
+            # short: the full guard runs and trips where unfused does
+            assert len(starts) == (1 if short == 0 else 0)
+            assert outcome[0][:2] == ("fault", "OutOfFuel")
 
 
 # ----------------------------------------------------------------------
