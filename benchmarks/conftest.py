@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import os
 import pathlib
+import sys
 
 import pytest
 
@@ -20,6 +21,10 @@ from repro.injection import Campaign
 from repro.libc import standard_registry
 from repro.manpages import load_corpus
 from repro.robust import RobustAPIDocument, derive_api
+
+# the reference implementations some benchmarks measure against live in
+# the tests' oracle package, importable from the repository root
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
 
 #: cross-family subset: strings, memory, alloc, convert, ctype, stdio,
 #: wide, algorithm — every chain kind appears at least once

@@ -1,7 +1,7 @@
 """P9 — collection fabric soak: throughput, backpressure, zero loss.
 
-Compares the legacy thread-per-connection :class:`CollectionServer`
-against the sharded non-blocking :class:`IngestServer` fabric on the
+Compares the thread-per-connection reference :class:`CollectionServer`
+(``tests/oracles``) against the sharded non-blocking :class:`IngestServer` fabric on the
 same document stream at growing connection counts, then soaks the
 fabric with ≥1000 concurrent shippers (every one holding its own open
 connection), a paced :class:`CollectionSink` segment that must finish
@@ -31,7 +31,6 @@ import pytest
 
 from repro.chaos import ChaosInjector, ChaosPlan
 from repro.collection import (
-    CollectionServer,
     FabricClient,
     IngestServer,
     submit_documents,
@@ -39,6 +38,7 @@ from repro.collection import (
 from repro.profiling import ProfileDocument
 from repro.telemetry import CollectionSink
 from repro.wrappers.state import WrapperState
+from tests.oracles import CollectionServer
 
 #: minimum fabric-over-legacy docs/sec ratio at the top connection count
 COLLECTION_GATE = float(os.environ.get("HEALERS_COLLECTION_GATE", "5.0"))

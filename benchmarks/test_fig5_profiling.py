@@ -13,7 +13,7 @@ run (missing files → ENOENT), so every panel of the figure has data.
 from __future__ import annotations
 
 from repro.apps import WORDCOUNT, standard_files
-from repro.collection import CollectionServer, submit_document
+from repro.collection import IngestServer, submit_document
 from repro.core import Healers
 from repro.profiling import ProfileDocument, render_full_report
 from repro.runtime import Errno
@@ -66,7 +66,7 @@ def test_fig5_profile_report(artifact, benchmark):
 def test_fig5_collection_roundtrip(artifact, benchmark):
     """Ship the document to the central server and query the store."""
     document = profiled_run()
-    with CollectionServer() as server:
+    with IngestServer() as server:
         assert submit_document(server.address, document.to_xml())
     stored = server.store.documents[0]
     assert "strcmp" in stored.wrapped_functions

@@ -2,12 +2,12 @@
 
 The vectorized substrate replaces the byte-at-a-time simulation loops with
 bulk slice operations plus exact fault/fuel replay; the original loops
-survive as the ``HEALERS_SCALAR_MEMORY=1`` backend.  This benchmark
+survive as the per-byte oracles in ``tests/oracles``.  This benchmark
 measures MB/s for the three hottest patterns — ``memcpy`` (bulk copy),
-``strlen`` (terminator scan) and the allocator's canary integrity sweep —
-on 64 KiB working sets under both backends, writes
-``benchmarks/out/BENCH_memops.json`` and gates the vectorized backend at
-``HEALERS_MEMOPS_GATE``x (default 5x) the scalar throughput.
+``strlen`` (terminator scan) and the allocator's canary integrity sweep
+(against the per-word header walk) — on 64 KiB working sets under both,
+writes ``benchmarks/out/BENCH_memops.json`` and gates the vectorized
+paths at ``HEALERS_MEMOPS_GATE``x (default 5x) the scalar throughput.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import time
 from repro.libc import helpers
 from repro.memory import PAGE_SIZE, Perm
 from repro.runtime import SimProcess
+from tests.oracles import HELPERS, per_word_integrity, scalar_process
 
 BUFFER = 64 * 1024
 
@@ -27,10 +28,13 @@ BUFFER = 64 * 1024
 MEMOPS_GATE = float(os.environ.get("HEALERS_MEMOPS_GATE", "5.0"))
 
 
-def make_proc(scalar: bool) -> SimProcess:
-    proc = SimProcess()
-    proc.space.scalar = scalar
-    return proc
+def make_proc(scalar: bool, **kwargs) -> SimProcess:
+    return scalar_process(**kwargs) if scalar else SimProcess(**kwargs)
+
+
+def helper(name: str, scalar: bool):
+    """The libc helper ``name``, or its per-byte oracle."""
+    return HELPERS[name] if scalar else getattr(helpers, name)
 
 
 def best_seconds(fn, repeats: int, rounds: int = 3) -> float:
@@ -50,9 +54,8 @@ def memcpy_case(scalar: bool) -> float:
     src, dest = region.start, region.start + BUFFER
     proc.space.fill(src, 0x5A, BUFFER)
     repeats = 1 if scalar else 50
-    seconds = best_seconds(
-        lambda: helpers.copy_bytes_forward(proc, dest, src, BUFFER), repeats
-    )
+    copy = helper("copy_bytes_forward", scalar)
+    seconds = best_seconds(lambda: copy(proc, dest, src, BUFFER), repeats)
     return BUFFER / seconds
 
 
@@ -63,23 +66,24 @@ def strlen_case(scalar: bool) -> float:
     proc.space.fill(region.start, 0x41, BUFFER - 1)
     proc.space.write(region.start + BUFFER - 1, b"\x00")
     repeats = 1 if scalar else 50
-    seconds = best_seconds(
-        lambda: helpers.scan_string_length(proc, region.start), repeats
-    )
+    scan = helper("scan_string_length", scalar)
+    seconds = best_seconds(lambda: scan(proc, region.start), repeats)
     return BUFFER / seconds
 
 
 def canary_case(scalar: bool) -> float:
     """Bytes/s of heap walked by the canary integrity sweep."""
-    proc = SimProcess(heap_canaries=True)
-    proc.space.scalar = scalar
+    proc = make_proc(scalar, heap_canaries=True)
     for _ in range(512):
         proc.malloc(96)
-    walked = proc.heap._brk - proc.heap.mapping.start
+    heap = proc.heap
+    walked = heap._brk - heap.mapping.start
     assert walked >= BUFFER  # the sweep covers a 64 KiB-class working set
-    assert proc.heap.check_integrity() == []
+    sweep = (lambda: per_word_integrity(heap)) if scalar else \
+        heap.check_integrity
+    assert sweep() == []
     repeats = 2 if scalar else 20
-    seconds = best_seconds(lambda: proc.heap.check_integrity(), repeats)
+    seconds = best_seconds(sweep, repeats)
     return walked / seconds
 
 

@@ -1,10 +1,10 @@
 """Central collection of wrapper-emitted XML documents.
 
-The runtime serves with the non-blocking sharded :class:`IngestServer`
-fabric (credit-based backpressure, write-ahead spooling, fleet
-aggregation).  The thread-per-connection :class:`CollectionServer`
-speaks the same legacy frames and stays as the differential reference
-the tests and benchmarks compare the fabric against.
+The non-blocking sharded :class:`IngestServer` fabric (credit-based
+backpressure, write-ahead spooling, fleet aggregation) serves every
+document into :class:`CollectionStore` partitions; ``submit_document``
+and ``submit_documents`` ship the legacy single and ``HBAT`` frames it
+accepts alongside its own.
 """
 
 from repro.collection.fabric import (
@@ -24,7 +24,6 @@ from repro.collection.server import (
     BATCH_MAGIC,
     MAX_BATCH_DOCUMENTS,
     MAX_DOCUMENT_BYTES,
-    CollectionServer,
     CollectionStore,
     StoredDocument,
     submit_document,
@@ -41,7 +40,6 @@ __all__ = [
     "BATCH_MAGIC",
     "CREDIT_LIMIT",
     "CollectionProtocolError",
-    "CollectionServer",
     "CollectionStore",
     "FABRIC_MAGIC",
     "FabricClient",

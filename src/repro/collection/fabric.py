@@ -1,10 +1,10 @@
 """Fleet-scale async collection fabric.
 
-The legacy :class:`~repro.collection.server.CollectionServer` spends a
-thread and a blocking read loop on every reporter; at fleet scale (every
-wrapped process shipping documents, serving apps pushing thousands of
-requests/sec) that model runs out of threads long before it runs out of
-CPU.  The fabric replaces it with:
+A thread-per-connection server spends a thread and a blocking read loop
+on every reporter; at fleet scale (every wrapped process shipping
+documents, serving apps pushing thousands of requests/sec) that model
+runs out of threads long before it runs out of CPU.  The fabric instead
+has:
 
 * an :class:`IngestServer` — one ``selectors`` event loop on one thread
   multiplexing every connection through a per-connection *frame state
@@ -322,9 +322,8 @@ class _Reply:
 class IngestServer:
     """Non-blocking sharded ingest fabric for profile documents.
 
-    Drop-in for :class:`CollectionServer` (same ``store`` query surface,
-    same legacy wire frames) plus sharding, credits, spooling and fleet
-    aggregation.  One event-loop thread does all the work: it parses a
+    Serves a :class:`CollectionStore` query surface over the legacy wire
+    frames plus sharding, credits, spooling and fleet aggregation.  One event-loop thread does all the work: it parses a
     completed frame, routes each document by its application to one of
     ``shards`` store partitions and stages it in that shard's spool.
     After each ``select`` pass every touched spool commits once; only

@@ -6,12 +6,13 @@ one unit of process fuel, so an unterminated scan either faults at a
 mapping boundary (CRASH) or exhausts its fuel (HANG) — the two failure
 modes fault injection must provoke and the wrappers must prevent.
 
-The default implementations are *vectorized*: they resolve the accessible
-extent once, perform the copy/scan/compare as one C-speed slice operation,
-and then replay the exact fuel accounting and faulting access the byte loop
-would have performed.  The original loops are kept verbatim as ``_scalar_*``
-and selected via ``AddressSpace.scalar`` (``HEALERS_SCALAR_MEMORY=1``), so a
-differential suite can prove byte- and fault-address parity.
+The implementations are *vectorized*: they resolve the accessible extent
+once, perform the copy/scan/compare as one C-speed slice operation, and
+then replay the exact fuel accounting and faulting access the byte loop
+would have performed.  The byte loops themselves are test oracles
+(``tests/oracles``), which the differential suite diffs these against for
+byte- and fault-address parity.  Only strcpy's overlapping copy, whose
+loop reads back bytes it has just written, still runs a byte loop.
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ from repro.runtime.process import SimProcess
 
 def scan_string_length(proc: SimProcess, address: int) -> int:
     """strlen-style scan; faults/hangs exactly like the C loop would."""
-    if proc.space.scalar:
-        return _scalar_scan_string_length(proc, address)
     space = proc.space
     index, scanned = space.find_byte(address, 0)
     if index is not None:
@@ -38,21 +37,8 @@ def scan_string_length(proc: SimProcess, address: int) -> int:
     raise AssertionError("strlen fault replay did not fault")
 
 
-def _scalar_scan_string_length(proc: SimProcess, address: int) -> int:
-    length = 0
-    cursor = address
-    while True:
-        proc.consume()
-        if proc.space.read(cursor, 1)[0] == 0:
-            return length
-        length += 1
-        cursor += 1
-
-
 def scan_string_length_bounded(proc: SimProcess, address: int, maxlen: int) -> int:
     """strnlen-style scan: stops at the terminator or at ``maxlen`` bytes."""
-    if proc.space.scalar:
-        return _scalar_scan_string_length_bounded(proc, address, maxlen)
     if maxlen <= 0:
         return maxlen
     space = proc.space
@@ -66,18 +52,6 @@ def scan_string_length_bounded(proc: SimProcess, address: int, maxlen: int) -> i
     proc.consume_metered(scanned + 1)
     space.read(address + scanned, 1)
     raise AssertionError("strnlen fault replay did not fault")
-
-
-def _scalar_scan_string_length_bounded(
-    proc: SimProcess, address: int, maxlen: int
-) -> int:
-    length = 0
-    while length < maxlen:
-        proc.consume()
-        if proc.space.read(address + length, 1)[0] == 0:
-            return length
-        length += 1
-    return maxlen
 
 
 def _bulk_copy(
@@ -99,15 +73,13 @@ def _bulk_copy(
 
 def copy_string(proc: SimProcess, dest: int, src: int) -> int:
     """strcpy-style byte loop; returns bytes copied excluding the NUL."""
-    if proc.space.scalar:
-        return _scalar_copy_string(proc, dest, src)
     space = proc.space
     index, scanned = space.find_byte(src, 0)
     span = (index + 1) if index is not None else scanned + 1
     if src < dest < src + span:
         # the destination lands inside the bytes still being scanned, so the
-        # reference loop reads back data it has already overwritten — defer
-        return _scalar_copy_string(proc, dest, src)
+        # loop reads back data it has already overwritten — defer to it
+        return _bytewise_copy_string(proc, dest, src)
     if index is not None:
         total = index + 1
         writable = space.writable_run(dest, total)
@@ -127,7 +99,7 @@ def copy_string(proc: SimProcess, dest: int, src: int) -> int:
     raise AssertionError("strcpy fault replay did not fault")
 
 
-def _scalar_copy_string(proc: SimProcess, dest: int, src: int) -> int:
+def _bytewise_copy_string(proc: SimProcess, dest: int, src: int) -> int:
     copied = 0
     while True:
         proc.consume()
@@ -140,8 +112,7 @@ def _scalar_copy_string(proc: SimProcess, dest: int, src: int) -> int:
 
 def copy_bytes_forward(proc: SimProcess, dest: int, src: int, count: int) -> None:
     """memcpy-style loop (forward, byte-at-a-time, fuel-metered)."""
-    if proc.space.scalar or count <= 0:
-        _scalar_copy_bytes_forward(proc, dest, src, count)
+    if count <= 0:
         return
     space = proc.space
     readable = space.readable_run(src, count)
@@ -162,21 +133,9 @@ def copy_bytes_forward(proc: SimProcess, dest: int, src: int, count: int) -> Non
     raise AssertionError("memcpy fault replay did not fault")
 
 
-def _scalar_copy_bytes_forward(
-    proc: SimProcess, dest: int, src: int, count: int
-) -> None:
-    for offset in range(count):
-        proc.consume()
-        byte = proc.space.read(src + offset, 1)
-        proc.space.write(dest + offset, byte)
-
-
 def copy_bytes_backward(proc: SimProcess, dest: int, src: int, count: int) -> None:
-    """memmove tail-first loop for overlapping dest > src."""
-    if proc.space.scalar or count <= 0 or dest < src < dest + count:
-        # a descending loop with dest < src overlapping smears bytes it has
-        # not read yet; only the reference loop reproduces that faithfully
-        _scalar_copy_bytes_backward(proc, dest, src, count)
+    """memmove's tail-first loop, which it runs only when dest > src."""
+    if count <= 0:
         return
     space = proc.space
     readable = space.readable_run_back(src + count, count)
@@ -198,20 +157,9 @@ def copy_bytes_backward(proc: SimProcess, dest: int, src: int, count: int) -> No
     raise AssertionError("memmove fault replay did not fault")
 
 
-def _scalar_copy_bytes_backward(
-    proc: SimProcess, dest: int, src: int, count: int
-) -> None:
-    for offset in range(count - 1, -1, -1):
-        proc.consume()
-        byte = proc.space.read(src + offset, 1)
-        proc.space.write(dest + offset, byte)
-
-
 def compare_strings(proc: SimProcess, left: int, right: int,
                     limit: Optional[int] = None, fold_case: bool = False) -> int:
     """strcmp/strncmp/strcasecmp core; returns the C-style difference."""
-    if proc.space.scalar:
-        return _scalar_compare_strings(proc, left, right, limit, fold_case)
     space = proc.space
     offset = 0
     chunk = 512
@@ -252,26 +200,6 @@ def compare_strings(proc: SimProcess, left: int, right: int,
             return a[mismatch] - b[mismatch]
         offset += window
         chunk *= 4
-
-
-def _scalar_compare_strings(proc: SimProcess, left: int, right: int,
-                            limit: Optional[int] = None,
-                            fold_case: bool = False) -> int:
-    offset = 0
-    while True:
-        if limit is not None and offset >= limit:
-            return 0
-        proc.consume()
-        a = proc.space.read(left + offset, 1)[0]
-        b = proc.space.read(right + offset, 1)[0]
-        if fold_case:
-            a = _fold(a)
-            b = _fold(b)
-        if a != b:
-            return a - b
-        if a == 0:
-            return 0
-        offset += 1
 
 
 def _fold(byte: int) -> int:

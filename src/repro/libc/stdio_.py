@@ -87,23 +87,24 @@ def format_into(proc: SimProcess, fmt: int, args: List, limit=None,
     ``%n``, with ``-``/``0`` flags, width, precision and ``l``/``ll``/``z``
     length modifiers.
 
-    With the space in bulk mode the engine renders from a prefetched copy
-    of the format with chunked emission, under any fuel budget: same
-    bytes, same fuel, same ``OutOfFuel`` and fault addresses as the
-    per-byte reference loop below, which runs in scalar mode and for
-    the few format shapes the prefetch cannot represent.
+    The engine renders from a prefetched copy of the format with chunked
+    emission, under any fuel budget: same bytes, same fuel, same
+    ``OutOfFuel`` and fault addresses as the per-byte loop below, which
+    runs only for the few format shapes the prefetch cannot represent.
     """
-    if not proc.space.scalar:
-        result = _bulk_format_into(proc, fmt, args, limit, out_address,
-                                   writer)
-        if result is not None:
-            return result
-    return _scalar_format_into(proc, fmt, args, limit, out_address, writer)
+    result = _bulk_format_into(proc, fmt, args, limit, out_address, writer)
+    if result is not None:
+        return result
+    return _bytewise_format_into(proc, fmt, args, limit, out_address, writer)
 
 
-def _scalar_format_into(proc: SimProcess, fmt: int, args: List, limit=None,
-                        out_address=None, writer=None, resume=None) -> int:
-    """Per-byte reference printf engine (exact fuel/fault interleaving).
+def _bytewise_format_into(proc: SimProcess, fmt: int, args: List, limit=None,
+                          out_address=None, writer=None, resume=None) -> int:
+    """Per-byte printf engine (exact fuel/fault interleaving).
+
+    :func:`_bulk_format_into` defers to it for a directive cut off at
+    the end of the readable format, and hands the rest of a call over
+    to it after a write onto format bytes not yet read.
 
     ``resume`` is ``(cursor, produced, arg_index, pending)``: the state
     at which the bulk engine hands over, ``pending`` being the rendered
@@ -204,7 +205,7 @@ def _parse_spec_bytes(data: bytes, index: int, stop: int):
     """:func:`_parse_spec` over a prefetched buffer.
 
     Returns ``(spec, next_index)``, or None when parsing would read at
-    or past ``stop`` (the terminator) — the reference loop then runs on
+    or past ``stop`` (the terminator) — the per-byte loop then runs on
     beyond the NUL, so the caller must fall back to it.
     """
     spec = _Spec()
@@ -276,9 +277,9 @@ def _bulk_read_string(proc: SimProcess, address: int, precision) -> bytes:
 
 def _bulk_format_into(proc: SimProcess, fmt: int, args: List, limit,
                       out_address, writer):
-    """Chunked printf engine; None means "use the reference loop".
+    """Chunked printf engine; None means "use the per-byte loop".
 
-    Byte/fuel/fault parity with :func:`_scalar_format_into` under any
+    Byte/fuel/fault parity with :func:`_bytewise_format_into` under any
     budget.  The format is prefetched up to its terminator, or up to the
     first unreadable byte, where the engine renders the readable prefix
     and then replays the loop's faulting read.  Every unit the loop
@@ -312,7 +313,7 @@ def _bulk_format_into(proc: SimProcess, fmt: int, args: List, limit,
         its emit unit (stride 2), rendered text only emit units (1).
         False, before any side effect, when a write would land on format
         bytes the loop has yet to read: the prefetch would go stale, so
-        the reference loop takes over from there.
+        the per-byte loop takes over from there.
         """
         nonlocal produced
         count = len(chunk)
@@ -344,7 +345,7 @@ def _bulk_format_into(proc: SimProcess, fmt: int, args: List, limit,
         return True
 
     def hand_over(pending: bytes) -> int:
-        return _scalar_format_into(
+        return _bytewise_format_into(
             proc, fmt, args, limit, out_address, writer,
             resume=(fmt + position, produced, arg_index, pending))
 
@@ -462,49 +463,6 @@ def _read_string_fuelled(proc: SimProcess, address: int, precision) -> bytes:
         cursor += 1
 
 
-def _scalar_gets(proc: SimProcess, s: int) -> int:
-    cursor = s
-    read_any = False
-    while True:
-        proc.consume()
-        data = proc.fs.read(STDIN_INDEX, 1)
-        if not data:
-            break
-        read_any = True
-        if data == b"\n":
-            break
-        proc.space.write(cursor, data)
-        cursor += 1
-    if not read_any:
-        return 0
-    proc.space.write(cursor, b"\x00")
-    return s
-
-
-def _scalar_fgets(proc: SimProcess, s: int, size: int, index: int) -> int:
-    cursor = s
-    remaining = size - 1
-    read_any = False
-    while remaining > 0:
-        proc.consume()
-        data = proc.fs.read(index, 1)
-        if data is None:
-            proc.errno = Errno.EBADF
-            return 0
-        if not data:
-            break
-        read_any = True
-        proc.space.write(cursor, data)
-        cursor += 1
-        remaining -= 1
-        if data == b"\n":
-            break
-    if not read_any:
-        return 0
-    proc.space.write(cursor, b"\x00")
-    return s
-
-
 # ----------------------------------------------------------------------
 # registration
 # ----------------------------------------------------------------------
@@ -541,10 +499,17 @@ def register(reg: LibcRegistry) -> None:
     def fprintf(proc: SimProcess, stream: int, format_: int, *args) -> int:
         """Formatted write to a stream."""
         index = stream_index_of(proc, stream)
-        return format_into(
-            proc, format_, list(args),
-            writer=lambda chunk: proc.fs.write(index, chunk),
-        )
+        fs = proc.fs
+        if fs.fault_hook is None or index < 3:
+            writer = lambda chunk: fs.write(index, chunk)
+        else:
+            # an armed hook decides once per write call on a file: write
+            # byte by byte, as the per-byte loop does, so each byte draws
+            # its own fault decision
+            def writer(chunk: bytes) -> None:
+                for offset in range(len(chunk)):
+                    fs.write(index, chunk[offset:offset + 1])
+        return format_into(proc, format_, list(args), writer=writer)
 
     @libc_function(reg, "int puts(const char *s)",
                    header="stdio.h", category="stdio",
@@ -568,8 +533,6 @@ def register(reg: LibcRegistry) -> None:
                    error_detector=null_on_error)
     def gets(proc: SimProcess, s: int) -> int:
         """Read a line from stdin with *no* bound — the classic CVE."""
-        if proc.space.scalar:
-            return _scalar_gets(proc, s)
         space = proc.space
         fs = proc.fs
         if fs.peek(STDIN_INDEX, 1) is None:
@@ -628,8 +591,6 @@ def register(reg: LibcRegistry) -> None:
         index = stream_index_of(proc, stream)
         if size <= 0:
             return 0
-        if proc.space.scalar:
-            return _scalar_fgets(proc, s, size, index)
         want = size - 1
         if want == 0:
             return 0

@@ -219,13 +219,14 @@ def register(reg: LibcRegistry) -> None:
         if nmemb == 0:
             return 0
         comparator = proc.resolve_callback(compar)
-        bulk = not proc.space.scalar and size > 0
-        if bulk:
+        if size > 0:
             elements = _gather(proc, base, nmemb, size)
         else:
+            # no element bytes to move in bulk: the copy-in loop draws one
+            # unit per element and reads whatever a size of 0 or less reads
             elements = []
             for index in range(nmemb):
-                proc.consume(size if size > 0 else 1)
+                proc.consume()
                 elements.append(proc.space.read(base + index * size, size))
         scratch = proc.heap.malloc(max(size, 1) * 2)
         if scratch == 0:
@@ -243,11 +244,11 @@ def register(reg: LibcRegistry) -> None:
             elements.sort(key=functools.cmp_to_key(cmp))
         finally:
             proc.heap.free(scratch)
-        if bulk:
+        if size > 0:
             _scatter(proc, base, elements, size)
             return 0
         for index, element in enumerate(elements):
-            proc.consume(size if size > 0 else 1)
+            proc.consume()
             proc.space.write(base + index * size, element)
         return 0
 

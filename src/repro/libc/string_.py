@@ -64,10 +64,12 @@ def register(reg: LibcRegistry) -> None:
     def strncpy(proc: SimProcess, dest: int, src: int, n: int) -> int:
         """Copy at most n bytes; pads dest with NULs to length n."""
         space = proc.space
-        if space.scalar or n <= 0 or src < dest < src + n:
+        if n <= 0:
+            return dest
+        if src < dest < src + n:
             # overlapping forward copy re-reads freshly written bytes; only
-            # the reference loop reproduces that faithfully
-            _scalar_strncpy(proc, dest, src, n)
+            # the loop itself reproduces that faithfully
+            _bytewise_strncpy(proc, dest, src, n)
             return dest
         index, scanned = space.find_byte(src, 0, n)
         if index is not None:
@@ -166,16 +168,6 @@ def register(reg: LibcRegistry) -> None:
         """First occurrence of (char)c in s, or NULL."""
         target = c & 0xFF
         space = proc.space
-        if space.scalar:
-            cursor = s
-            while True:
-                proc.consume()
-                byte = space.read(cursor, 1)[0]
-                if byte == target:
-                    return cursor
-                if byte == 0:
-                    return 0
-                cursor += 1
         hit, _ = space.find_byte(s, target)
         nul, scanned = space.find_byte(s, 0)
         # the loop tests target before terminator, so a tie goes to target
@@ -196,17 +188,6 @@ def register(reg: LibcRegistry) -> None:
         """Last occurrence of (char)c in s, or NULL."""
         target = c & 0xFF
         space = proc.space
-        if space.scalar:
-            found = 0
-            cursor = s
-            while True:
-                proc.consume()
-                byte = space.read(cursor, 1)[0]
-                if byte == target:
-                    found = cursor
-                if byte == 0:
-                    return found
-                cursor += 1
         nul, scanned = space.find_byte(s, 0)
         if nul is None:
             proc.consume_metered(scanned + 1)
@@ -227,8 +208,6 @@ def register(reg: LibcRegistry) -> None:
         if needle_len == 0:
             return haystack
         needle_bytes = proc.space.read(needle, needle_len)
-        if proc.space.scalar:
-            return _scalar_strstr(proc, haystack, needle_bytes)
         return _bulk_strstr(proc, haystack, needle_bytes)
 
     @libc_function(reg, "size_t strspn(const char *s, const char *accept)",
@@ -237,14 +216,6 @@ def register(reg: LibcRegistry) -> None:
         """Length of the initial segment of s made of accept's bytes."""
         accept_len = helpers.scan_string_length(proc, accept)
         accept_set = set(proc.space.read(accept, accept_len))
-        if proc.space.scalar:
-            length = 0
-            while True:
-                proc.consume()
-                byte = proc.space.read(s + length, 1)[0]
-                if byte == 0 or byte not in accept_set:
-                    return length
-                length += 1
         return _bulk_span(proc, s, accept_set, True)[0]
 
     @libc_function(reg, "size_t strcspn(const char *s, const char *reject)",
@@ -253,14 +224,6 @@ def register(reg: LibcRegistry) -> None:
         """Length of the initial segment of s free of reject's bytes."""
         reject_len = helpers.scan_string_length(proc, reject)
         reject_set = set(proc.space.read(reject, reject_len))
-        if proc.space.scalar:
-            length = 0
-            while True:
-                proc.consume()
-                byte = proc.space.read(s + length, 1)[0]
-                if byte == 0 or byte in reject_set:
-                    return length
-                length += 1
         return _bulk_span(proc, s, reject_set, False)[0]
 
     @libc_function(reg, "char *strpbrk(const char *s, const char *accept)",
@@ -270,16 +233,6 @@ def register(reg: LibcRegistry) -> None:
         """First byte of s that is in accept, or NULL."""
         accept_len = helpers.scan_string_length(proc, accept)
         accept_set = set(proc.space.read(accept, accept_len))
-        if proc.space.scalar:
-            cursor = s
-            while True:
-                proc.consume()
-                byte = proc.space.read(cursor, 1)[0]
-                if byte == 0:
-                    return 0
-                if byte in accept_set:
-                    return cursor
-                cursor += 1
         index, hit = _bulk_span(proc, s, accept_set, False)
         return s + index if hit else 0
 
@@ -346,12 +299,9 @@ def register(reg: LibcRegistry) -> None:
                    header="string.h", category="memory")
     def memset(proc: SimProcess, s: int, c: int, n: int) -> int:
         """Fill n bytes with (unsigned char)c."""
-        space = proc.space
-        if space.scalar or n <= 0:
-            for offset in range(n):
-                proc.consume()
-                space.write(s + offset, bytes([c & 0xFF]))
+        if n <= 0:
             return s
+        space = proc.space
         writable = space.writable_run(s, n)
         headroom = proc.fuel_headroom()
         if writable >= n:
@@ -371,15 +321,9 @@ def register(reg: LibcRegistry) -> None:
                    header="string.h", category="memory")
     def memcmp(proc: SimProcess, s1: int, s2: int, n: int) -> int:
         """Compare n bytes."""
-        space = proc.space
-        if space.scalar or n <= 0:
-            for offset in range(n):
-                proc.consume()
-                a = space.read(s1 + offset, 1)[0]
-                b = space.read(s2 + offset, 1)[0]
-                if a != b:
-                    return a - b
+        if n <= 0:
             return 0
+        space = proc.space
         run1 = space.readable_run(s1, n)
         run2 = space.readable_run(s2, n)
         window = min(n, run1, run2)
@@ -405,13 +349,9 @@ def register(reg: LibcRegistry) -> None:
     def memchr(proc: SimProcess, s: int, c: int, n: int) -> int:
         """First occurrence of (unsigned char)c in the first n bytes."""
         target = c & 0xFF
-        space = proc.space
-        if space.scalar or n <= 0:
-            for offset in range(n):
-                proc.consume()
-                if space.read(s + offset, 1)[0] == target:
-                    return s + offset
+        if n <= 0:
             return 0
+        space = proc.space
         index, scanned = space.find_byte(s, target, n)
         if index is not None:
             proc.consume_metered(index + 1)
@@ -433,7 +373,7 @@ def register(reg: LibcRegistry) -> None:
         return proc.intern_cstring(message)
 
 
-def _scalar_strncpy(proc: SimProcess, dest: int, src: int, n: int) -> None:
+def _bytewise_strncpy(proc: SimProcess, dest: int, src: int, n: int) -> None:
     offset = 0
     terminated = False
     while offset < n:
@@ -446,21 +386,6 @@ def _scalar_strncpy(proc: SimProcess, dest: int, src: int, n: int) -> None:
             if byte == 0:
                 terminated = True
         offset += 1
-
-
-def _scalar_strstr(proc: SimProcess, haystack: int,
-                   needle_bytes: bytes) -> int:
-    needle_len = len(needle_bytes)
-    cursor = haystack
-    while True:
-        proc.consume()
-        byte = proc.space.read(cursor, 1)[0]
-        if byte == 0:
-            return 0
-        if byte == needle_bytes[0]:
-            if proc.space.read(cursor, needle_len) == needle_bytes:
-                return cursor
-        cursor += 1
 
 
 def _haystack(proc: SimProcess, s: int):
@@ -491,7 +416,7 @@ def _scan_ended(proc: SimProcess, s: int, span: int, terminated: bool):
 
 
 def _bulk_strstr(proc: SimProcess, haystack: int, needle_bytes: bytes) -> int:
-    """:func:`_scalar_strstr` as a haystack prefetch plus ``bytes.find``.
+    """strstr's first-byte scan as a haystack prefetch plus ``bytes.find``.
 
     The loop reads ``len(needle)`` bytes with one ``read`` at each
     first-byte match; that read faults when the window leaves its

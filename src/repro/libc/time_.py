@@ -228,32 +228,25 @@ def register(reg: LibcRegistry) -> None:
         """Bounded time formatter; returns 0 when the result overflows."""
         fields = read_tm(proc, tm)
         space = proc.space
-        rendered = None
-        if not space.scalar:
-            rendered = _bulk_strftime_scan(proc, format_, fields)
+        rendered = _bulk_strftime_scan(proc, format_, fields)
         if rendered is None:
-            rendered = _scalar_strftime_scan(proc, format_, fields)
+            rendered = _bytewise_strftime_scan(proc, format_, fields)
         count = len(rendered)
         if count + 1 > max_:
             return 0  # per C99: contents undefined, we write nothing
-        if space.scalar:
-            for offset, byte in enumerate(rendered):
-                proc.consume()
-                space.write(s + offset, bytes([byte]))
-        else:
-            # one unit before each byte's write: clamp the run to the
-            # headroom and to the first unwritable byte
-            writable = space.writable_run(s, count)
-            headroom = proc.fuel_headroom()
-            reach = min(count, writable)
-            side = reach if headroom is None else min(reach, headroom)
-            if side:
-                space.write_run(s, rendered[:side])
-            if writable < count:
-                proc.consume_metered(writable + 1)
-                space.write(s + writable, b"\x00")
-                raise AssertionError("strftime fault replay did not fault")
-            proc.consume_metered(count)
+        # one unit before each byte's write: clamp the run to the
+        # headroom and to the first unwritable byte
+        writable = space.writable_run(s, count)
+        headroom = proc.fuel_headroom()
+        reach = min(count, writable)
+        side = reach if headroom is None else min(reach, headroom)
+        if side:
+            space.write_run(s, rendered[:side])
+        if writable < count:
+            proc.consume_metered(writable + 1)
+            space.write(s + writable, b"\x00")
+            raise AssertionError("strftime fault replay did not fault")
+        proc.consume_metered(count)
         space.write(s + count, b"\x00")
         return count
 
@@ -265,7 +258,10 @@ def register(reg: LibcRegistry) -> None:
         return proc.fuel_used
 
 
-def _scalar_strftime_scan(proc: SimProcess, fmt: int, fields: dict) -> bytes:
+def _bytewise_strftime_scan(proc: SimProcess, fmt: int, fields: dict) -> bytes:
+    """The per-byte format scan; :func:`_bulk_strftime_scan` defers to
+    it when a ``%`` is the last byte before the terminator or before
+    unreadable memory."""
     out: List[bytes] = []
     cursor = fmt
     while True:
@@ -284,7 +280,7 @@ def _scalar_strftime_scan(proc: SimProcess, fmt: int, fields: dict) -> bytes:
 
 
 def _bulk_strftime_scan(proc: SimProcess, fmt: int, fields: dict):
-    """:func:`_scalar_strftime_scan` over a prefetched format.
+    """:func:`_bytewise_strftime_scan` over a prefetched format.
 
     The scan has no side effect but fuel, so it renders first and then
     draws one unit per loop iteration (a literal byte, a directive, the

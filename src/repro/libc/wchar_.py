@@ -68,14 +68,7 @@ def _find_terminator(space, address: int, limit_chars=None):
     return None, total
 
 
-def _scalar_wcslen(proc: SimProcess, s: int) -> int:
-    length = 0
-    while read_wchar(proc, s + length * WCHAR_SIZE) != 0:
-        length += 1
-    return length
-
-
-def _scalar_wcscpy(proc: SimProcess, dest: int, src: int) -> int:
+def _bytewise_wcscpy(proc: SimProcess, dest: int, src: int) -> int:
     offset = 0
     while True:
         value = read_wchar(proc, src + offset)
@@ -85,7 +78,7 @@ def _scalar_wcscpy(proc: SimProcess, dest: int, src: int) -> int:
         offset += WCHAR_SIZE
 
 
-def _scalar_wcsncpy(proc: SimProcess, dest: int, src: int, n: int) -> int:
+def _bytewise_wcsncpy(proc: SimProcess, dest: int, src: int, n: int) -> int:
     terminated = False
     for index in range(n):
         if terminated:
@@ -99,29 +92,6 @@ def _scalar_wcsncpy(proc: SimProcess, dest: int, src: int, n: int) -> int:
     return dest
 
 
-def _scalar_wcscmp(proc: SimProcess, s1: int, s2: int) -> int:
-    offset = 0
-    while True:
-        a = read_wchar(proc, s1 + offset)
-        b = read_wchar(proc, s2 + offset)
-        if a != b:
-            return helpers.int_result(a - b, 32)
-        if a == 0:
-            return 0
-        offset += WCHAR_SIZE
-
-
-def _scalar_wcschr(proc: SimProcess, s: int, c: int) -> int:
-    cursor = s
-    while True:
-        value = read_wchar(proc, cursor)
-        if value == (c & 0xFFFFFFFF):
-            return cursor
-        if value == 0:
-            return 0
-        cursor += WCHAR_SIZE
-
-
 def register(reg: LibcRegistry) -> None:
     """Register the wide-character family into ``reg``."""
 
@@ -130,8 +100,6 @@ def register(reg: LibcRegistry) -> None:
     def wcslen(proc: SimProcess, s: int) -> int:
         """Length of a wide string in characters."""
         space = proc.space
-        if space.scalar:
-            return _scalar_wcslen(proc, s)
         index, scanned = _find_terminator(space, s)
         if index is not None:
             proc.consume_metered(index + 1)
@@ -145,12 +113,11 @@ def register(reg: LibcRegistry) -> None:
     def wcscpy(proc: SimProcess, dest: int, src: int) -> int:
         """Copy a wide string including its terminator; no bounds check."""
         space = proc.space
-        if space.scalar:
-            return _scalar_wcscpy(proc, dest, src)
         index, scanned = _find_terminator(space, src)
         span = (index + 1) if index is not None else scanned + 1
         if src < dest < src + span * WCHAR_SIZE:
-            return _scalar_wcscpy(proc, dest, src)
+            # the loop reads back characters it has just written
+            return _bytewise_wcscpy(proc, dest, src)
         headroom = proc.fuel_headroom()
         if index is not None:
             need = index + 1
@@ -184,9 +151,12 @@ def register(reg: LibcRegistry) -> None:
                    header="wchar.h", category="wide")
     def wcsncpy(proc: SimProcess, dest: int, src: int, n: int) -> int:
         """Copy at most n wide characters, padding with L'\\0'."""
+        if n <= 0:
+            return dest
         space = proc.space
-        if space.scalar or n <= 0 or src < dest < src + n * WCHAR_SIZE:
-            return _scalar_wcsncpy(proc, dest, src, n)
+        if src < dest < src + n * WCHAR_SIZE:
+            # the loop reads back characters it has just written
+            return _bytewise_wcsncpy(proc, dest, src, n)
         index, scanned = _find_terminator(space, src, n)
         if index is not None:
             copy_chars, read_ok = index + 1, True
@@ -231,8 +201,6 @@ def register(reg: LibcRegistry) -> None:
     def wcscmp(proc: SimProcess, s1: int, s2: int) -> int:
         """Lexicographic wide-string comparison."""
         space = proc.space
-        if space.scalar:
-            return _scalar_wcscmp(proc, s1, s2)
         # the loop burns two fuel units per character (one per read_wchar)
         offset = 0
         chunk = 256
@@ -282,8 +250,6 @@ def register(reg: LibcRegistry) -> None:
     def wcschr(proc: SimProcess, s: int, c: int) -> int:
         """First occurrence of c in the wide string s, or NULL."""
         space = proc.space
-        if space.scalar:
-            return _scalar_wcschr(proc, s, c)
         target = c & 0xFFFFFFFF
         offset = 0
         chunk = 256

@@ -259,17 +259,11 @@ class HeapAllocator:
             return  # quarantined chunks are out of circulation for good
         if not self.mapping.contains(header, HEADER_SIZE):
             raise InvalidFree(address)
-        if self.space.scalar:
-            magic = self.space.read_u32(header)
-            user_size = self.space.read_u32(header + 4)
-            total = self.space.read_u32(header + 8)
-            flags = self.space.read_u32(header + 12)
-        else:
-            # the containment check above guarantees the whole header is
-            # inside the heap mapping, so one read replaces four
-            magic, user_size, total, flags = _HEADER.unpack(
-                self.space.read(header, HEADER_SIZE)
-            )
+        # the containment check above guarantees the whole header is
+        # inside the heap mapping, so one read replaces four
+        magic, user_size, total, flags = _HEADER.unpack(
+            self.space.read(header, HEADER_SIZE)
+        )
         if magic == FREE_MAGIC:
             raise DoubleFree(address)
         if magic != ALLOC_MAGIC:
@@ -338,18 +332,17 @@ class HeapAllocator:
         base = self.mapping.start
         data = self.mapping.data
         readable = bool(self.mapping.perm & Perm.READ)
-        fast = not self.space.scalar
         while cursor < self._brk:
             offset = cursor - base
-            if fast and readable and offset + HEADER_SIZE <= self.mapping.size:
+            if readable and offset + HEADER_SIZE <= self.mapping.size:
                 magic, user_size, total, flags = _HEADER.unpack_from(
                     data, offset
                 )
                 if magic not in (ALLOC_MAGIC, FREE_MAGIC):
                     raise HeapCorruption(cursor, "walk found clobbered magic")
             else:
-                # reference loop; also replays the exact fault when a
-                # clobbered size pushed the cursor off the readable mapping
+                # per-word reads replay the exact fault when a clobbered
+                # size pushed the cursor off the readable mapping
                 magic = self.space.read_u32(cursor)
                 if magic not in (ALLOC_MAGIC, FREE_MAGIC):
                     raise HeapCorruption(cursor, "walk found clobbered magic")
@@ -374,12 +367,12 @@ class HeapAllocator:
     def check_integrity(self) -> List[str]:
         """Non-raising integrity check: list of corruption descriptions.
 
-        The default path fuses the header walk and the canary sweep into
-        one pass over the mapping buffer with no per-chunk allocations;
-        :meth:`_walk_integrity` keeps the original chunk-object walk as
-        the scalar reference (and the fallback for odd mappings).
+        One pass over the mapping buffer fuses the header walk and the
+        canary sweep with no per-chunk allocations; an unreadable heap
+        mapping or a header cut off at its end falls back to
+        :meth:`_walk_integrity`, whose reads fault where the walk would.
         """
-        if self.space.scalar or not (self.mapping.perm & Perm.READ):
+        if not (self.mapping.perm & Perm.READ):
             return self._walk_integrity()
         base = self.mapping.start
         data = self.mapping.data
@@ -420,7 +413,8 @@ class HeapAllocator:
         return problems
 
     def _walk_integrity(self) -> List[str]:
-        """Reference integrity check over :meth:`walk` chunk objects."""
+        """Integrity check over :meth:`walk` chunk objects (the fallback
+        that replays faulting header and canary reads)."""
         problems: List[str] = []
         try:
             chunks = self.walk()
@@ -611,13 +605,7 @@ class HeapAllocator:
     ) -> None:
         flags = FLAG_CANARY if (allocated and self.canaries) else 0
         magic = ALLOC_MAGIC if allocated else FREE_MAGIC
-        if self.space.scalar:
-            self.space.write_u32(header, magic)
-            self.space.write_u32(header + 4, user_size)
-            self.space.write_u32(header + 8, total)
-            self.space.write_u32(header + 12, flags)
-        else:
-            self.space.write(header, _HEADER.pack(magic, user_size, total, flags))
+        self.space.write(header, _HEADER.pack(magic, user_size, total, flags))
 
     def _coalesce(self, header: int) -> None:
         """Merge the freed chunk with adjacent free chunks; if the merged

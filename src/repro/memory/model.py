@@ -10,23 +10,18 @@ data — exactly the behaviour heap-smashing attacks rely on.
 Addresses are plain Python integers.  Page zero is never mappable, so any
 NULL (or near-NULL) dereference faults, as on a real OS.
 
-Access paths come in two flavours:
-
-* the default *vectorized* backend resolves a mapping once and then works on
-  ``Mapping.data`` slices at C speed (``bytes.find``, slice assignment,
-  ``struct.Struct.unpack_from``), faulting at the identical address a
-  per-byte scan would;
-* the *scalar* reference backend (``HEALERS_SCALAR_MEMORY=1`` or
-  ``AddressSpace(scalar=True)``) keeps the original one-``read``-per-byte
-  loops.  The differential suite drives both and asserts byte- and
-  fault-address parity.
+Bulk access paths resolve a mapping once and then work on ``Mapping.data``
+slices at C speed (``bytes.find``, slice assignment,
+``struct.Struct.unpack_from``), faulting at the identical address a
+per-byte scan would.  The per-byte loops they replace live on as test
+oracles (``tests/oracles``); the differential suite asserts byte- and
+fault-address parity against them.
 """
 
 from __future__ import annotations
 
 import bisect
 import enum
-import os
 import struct
 import sys
 from array import array
@@ -49,10 +44,6 @@ _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
 _I32 = struct.Struct("<i")
-
-
-def _env_scalar() -> bool:
-    return os.environ.get("HEALERS_SCALAR_MEMORY", "") not in ("", "0")
 
 
 class Perm(enum.IntFlag):
@@ -121,12 +112,9 @@ class AddressSpace:
     invalidated whenever ``epoch`` bumps (map/unmap/protect).
     """
 
-    def __init__(self, scalar: Optional[bool] = None) -> None:
+    def __init__(self) -> None:
         self._mappings: List[Mapping] = []
         self._starts: List[int] = []
-        #: when True, string scans and bulk primitives use the original
-        #: one-byte-at-a-time reference loops (HEALERS_SCALAR_MEMORY=1)
-        self.scalar = _env_scalar() if scalar is None else scalar
         #: bumped on any mapping-table or permission change
         self.epoch = 0
         #: bumped on any content write; together with ``epoch`` this lets
@@ -390,7 +378,7 @@ class AddressSpace:
         while remaining > 0:
             mapping = self.find_mapping(cursor)
             if mapping is None or not (mapping.perm_bits & _PERM_READ):
-                self.read(cursor, 1)  # raises the exact scalar fault
+                self.read(cursor, 1)  # raises the exact per-byte fault
                 raise AssertionError("read_run fault replay did not fault")
             offset = cursor - mapping.start
             take = min(remaining, mapping.size - offset)
@@ -415,7 +403,7 @@ class AddressSpace:
         while remaining > 0:
             mapping = self.find_mapping(cursor)
             if mapping is None or not (mapping.perm_bits & _PERM_WRITE):
-                self.write(cursor, b"\x00")  # raises the exact scalar fault
+                self.write(cursor, b"\x00")  # raises the exact per-byte fault
                 raise AssertionError("write_run fault replay did not fault")
             offset = cursor - mapping.start
             take = min(remaining, mapping.size - offset)
@@ -533,14 +521,6 @@ class AddressSpace:
         """
         if length <= 0:
             return
-        if self.scalar:
-            if forward or dest <= src:
-                for offset in range(length):
-                    self.write(dest + offset, self.read(src + offset, 1))
-            else:
-                for offset in range(length - 1, -1, -1):
-                    self.write(dest + offset, self.read(src + offset, 1))
-            return
         if forward or dest <= src:
             readable = self.readable_run(src, length)
             writable = self.writable_run(dest, length)
@@ -584,13 +564,6 @@ class AddressSpace:
         """
         if length <= 0:
             return 0
-        if self.scalar:
-            for offset in range(length):
-                a = self.read(s1 + offset, 1)[0]
-                b = self.read(s2 + offset, 1)[0]
-                if a != b:
-                    return a - b
-            return 0
         run1 = self.readable_run(s1, length)
         run2 = self.readable_run(s2, length)
         count = min(length, run1, run2)
@@ -608,7 +581,7 @@ class AddressSpace:
         raise AssertionError("compare fault replay did not fault")
 
     # ------------------------------------------------------------------
-    # scalar access (little endian, like x86)
+    # fixed-width access (little endian, like x86)
     # ------------------------------------------------------------------
 
     def read_u8(self, address: int) -> int:
@@ -706,8 +679,6 @@ class AddressSpace:
         avoid unbounded scans, not by the fragile libc itself); the scan
         stops exactly at ``limit`` and never touches the byte past it.
         """
-        if self.scalar:
-            return self._scalar_read_cstring(address, limit)
         index, scanned = self.find_byte(address, 0, limit)
         if index is not None:
             return self.read_run(address, index)
@@ -716,28 +687,12 @@ class AddressSpace:
         self.read(address + scanned, 1)
         raise AssertionError("cstring fault replay did not fault")
 
-    def _scalar_read_cstring(
-        self, address: int, limit: Optional[int] = None
-    ) -> bytes:
-        out = bytearray()
-        cursor = address
-        while True:
-            if limit is not None and len(out) >= limit:
-                return bytes(out)
-            byte = self.read(cursor, 1)[0]
-            if byte == 0:
-                return bytes(out)
-            out.append(byte)
-            cursor += 1
-
     def write_cstring(self, address: int, value: bytes) -> None:
         """Write ``value`` plus a terminating NUL at ``address``."""
         self.write(address, value + b"\x00")
 
     def cstring_length(self, address: int, limit: Optional[int] = None) -> int:
         """strlen without copying (same fault behaviour as read_cstring)."""
-        if self.scalar:
-            return self._scalar_cstring_length(address, limit)
         index, scanned = self.find_byte(address, 0, limit)
         if index is not None:
             return index
@@ -745,19 +700,6 @@ class AddressSpace:
             return limit if limit > 0 else 0
         self.read(address + scanned, 1)
         raise AssertionError("cstring fault replay did not fault")
-
-    def _scalar_cstring_length(
-        self, address: int, limit: Optional[int] = None
-    ) -> int:
-        length = 0
-        cursor = address
-        while True:
-            if limit is not None and length >= limit:
-                return length
-            if self.read(cursor, 1)[0] == 0:
-                return length
-            length += 1
-            cursor += 1
 
     # ------------------------------------------------------------------
     # diagnostics

@@ -530,9 +530,6 @@ def _safe_gets(frame: CallFrame, state, emit, violation_found) -> None:
                         "unsafe_gets")
         return
     frame.skip_call = True
-    if proc.space.scalar:
-        _scalar_safe_gets_body(frame, proc, dest, capacity, emit)
-        return
     space = proc.space
     # locate the line without consuming the stream, then replay the stream
     # and memory side effects in bulk
@@ -575,39 +572,6 @@ def _safe_gets(frame: CallFrame, state, emit, violation_found) -> None:
         proc.fs.read(0, 1)  # replay the EOF-setting empty read
     space.write(dest + to_write, b"\x00")
     if linelen > capacity - 1:
-        emit(
-            SecurityEvent(function="gets",
-                          reason=f"input truncated to {capacity - 1} bytes",
-                          terminated=False)
-        )
-    frame.ret = dest
-
-
-def _scalar_safe_gets_body(frame: CallFrame, proc: SimProcess, dest: int,
-                           capacity: int, emit) -> None:
-    """Reference byte loop for the bounded gets (differential backend)."""
-    cursor = dest
-    remaining = capacity - 1
-    read_any = False
-    discarded = False
-    while True:
-        data = proc.fs.read(0, 1)  # STDIN
-        if not data:
-            break
-        read_any = True
-        if data == b"\n":
-            break
-        if remaining > 0:
-            proc.space.write(cursor, data)
-            cursor += 1
-            remaining -= 1
-        else:
-            discarded = True  # drop overflow bytes instead of writing them
-    if not read_any:
-        frame.ret = 0
-        return
-    proc.space.write(cursor, b"\x00")
-    if discarded:
         emit(
             SecurityEvent(function="gets",
                           reason=f"input truncated to {capacity - 1} bytes",

@@ -8,7 +8,6 @@ import pytest
 
 from repro.collection import (
     BATCH_MAGIC,
-    CollectionServer,
     CollectionStore,
     submit_document,
     submit_documents,
@@ -16,6 +15,7 @@ from repro.collection import (
 from repro.profiling import ProfileDocument
 from repro.telemetry import CollectionSink
 from repro.wrappers.state import WrapperState
+from tests.oracles import CollectionServer
 
 
 def _document_xml(application="app", calls=3):

@@ -14,7 +14,6 @@ from repro.chaos import ChaosInjector, ChaosPlan
 from repro.collection import (
     BATCH_MAGIC,
     CollectionProtocolError,
-    CollectionServer,
     FabricClient,
     FleetAggregator,
     IngestServer,
@@ -29,6 +28,7 @@ from repro.collection.fabric import STATS_MAGIC
 from repro.profiling import ProfileDocument
 from repro.telemetry import CollectionSink, CollectionSinkClosed
 from repro.wrappers.state import WrapperState
+from tests.oracles import CollectionServer
 
 
 def _document_xml(application="app", function="strlen", calls=3):

@@ -6,10 +6,11 @@ import threading
 
 import pytest
 
-from repro.collection import CollectionServer, submit_document
+from repro.collection import submit_document
 from repro.collection.server import CollectionStore
 from repro.profiling import ProfileDocument
 from repro.wrappers.state import WrapperState
+from tests.oracles import CollectionServer
 
 
 def make_document(app: str, calls: int) -> str:

@@ -8,7 +8,7 @@ collect — asserting the cross-module contracts at every seam.
 import pytest
 
 from repro.apps import MSGFORMAT, WORDCOUNT, run_app, standard_files
-from repro.collection import CollectionServer, submit_document
+from repro.collection import IngestServer, submit_document
 from repro.core import Healers
 from repro.errors import SecurityViolation
 from repro.injection import campaign_from_xml, campaign_to_xml
@@ -100,7 +100,7 @@ class TestPipelineSeams:
             WORDCOUNT, argv=["/data/sample.txt"], files=standard_files()
         )
         assert result.succeeded
-        with CollectionServer() as server:
+        with IngestServer() as server:
             assert submit_document(server.address, document.to_xml())
         stored = server.store.documents[0]
         assert stored.document.total_calls == document.total_calls

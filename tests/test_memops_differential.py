@@ -1,16 +1,19 @@
-"""Differential fuzzing: scalar reference loops vs the vectorized substrate.
+"""Differential fuzzing: the per-byte oracles vs the vectorized runtime.
 
-The vectorized memory paths (bulk ``AddressSpace`` primitives plus the
-slice-based libc bodies built on them) must be pure performance
-transformations of the original byte-at-a-time loops, which survive as the
-``HEALERS_SCALAR_MEMORY=1`` / ``AddressSpace(scalar=True)`` reference
-backend.  Hypothesis drives both backends with identical scenes — random
-payloads laid across mapping boundaries, adjacent mappings with weaker
-permissions, guard holes, tight fuel budgets — and compares everything
-observable: return values, bytes left in memory, the exception *type and
-constructor arguments* (fault address, access kind, detail, fuel counter),
-``errno``, fuel used and stream positions.
+The vectorized memory paths (bulk ``AddressSpace`` primitives, the
+slice-based libc bodies built on them, the heap's fused integrity sweep
+and the security wrapper's bounded ``gets``) must be pure performance
+transformations of the byte-at-a-time loops kept in ``tests/oracles``.
+Hypothesis drives the runtime and the oracle with identical scenes —
+random payloads laid across mapping boundaries, adjacent mappings with
+weaker permissions, guard holes, tight fuel budgets — and compares
+everything observable: return values, bytes left in memory, the
+exception *type and constructor arguments* (fault address, access kind,
+detail, fuel counter), ``errno``, fuel used and stream positions.
 """
+
+import itertools
+import types
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -18,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro.errors import SimulatorError
 from repro.injection import Campaign
-from repro.libc import standard_registry
+from repro.libc import helpers, standard_registry
 from repro.libc.stdio_ import make_file_struct
 from repro.libc.time_ import _break_down, write_tm
 from repro.manpages import load_corpus
@@ -26,6 +29,10 @@ from repro.memory import PAGE_SIZE, AddressSpace, Perm
 from repro.runtime import SimProcess
 from repro.security.guard import _safe_gets
 from repro.wrappers.microgen import CallFrame
+from tests.oracles import (
+    BODIES, HELPERS, ScalarAddressSpace, per_word_integrity, per_word_walk,
+    safe_gets, scalar_process, scalar_registry,
+)
 
 BASE = 0x40000
 SCENE = 0x4000000  # far above the auto-placed process segments
@@ -40,6 +47,7 @@ COMMON = settings(max_examples=60,
                   deadline=None)
 
 libc_registry = standard_registry()
+scalar_libc = scalar_registry()
 
 
 def capture(fn):
@@ -67,8 +75,8 @@ def plant(space, address, blob):
 
 def twin_spaces(follower, payload_at, payload):
     pair = []
-    for scalar in (True, False):
-        space = AddressSpace(scalar=scalar)
+    for space_type in (ScalarAddressSpace, AddressSpace):
+        space = space_type()
         space.map_region(PAGE_SIZE, Perm.RW, "first", at=BASE)
         if follower is not None:
             space.map_region(PAGE_SIZE, follower, "second",
@@ -171,25 +179,69 @@ class TestAddressSpaceParity:
         assert_spaces_agree(reference, vectorized, ref, vec)
 
 
+class TestHeapParity:
+    @given(
+        sizes=st.lists(st.integers(0, 200), min_size=1, max_size=12),
+        frees=st.lists(st.integers(0, 11), max_size=6),
+        clobbers=st.lists(st.tuples(st.integers(0, 1 << 16),
+                                    st.integers(0, 255)), max_size=4),
+        perm=st.sampled_from([Perm.RW, Perm.RW, Perm.NONE]),
+    )
+    @COMMON
+    def test_integrity_sweep(self, sizes, frees, clobbers, perm):
+        """The fused sweep and the chunk walk report what the per-word
+        header walk does: the same defects, or the same fault."""
+        proc = SimProcess(heap_canaries=True)
+        heap = proc.heap
+        users = [heap.malloc(size) for size in sizes]
+        for index in frees:
+            if index < len(users) and users[index]:
+                heap.free(users[index])
+                users[index] = 0
+        span = heap._brk - heap.mapping.start
+        for offset, value in clobbers:
+            if span:
+                heap.mapping.data[offset % span] = value
+        proc.space.protect(heap.mapping, perm)
+        assert capture(heap.check_integrity) == \
+            capture(lambda: per_word_integrity(heap))
+        assert capture(heap.walk) == capture(lambda: per_word_walk(heap))
+
+
 # ----------------------------------------------------------------------
 # libc bodies over twin processes
 # ----------------------------------------------------------------------
 
-def twin_procs(fuel, follower, payload, wide_payload=b""):
-    pair = []
-    for scalar in (True, False):
-        proc = SimProcess(fuel=fuel)
-        proc.space.scalar = scalar
+def scene_procs(follower, blobs, fs_hook=None):
+    """Processes over the two-page scene: the per-byte reference, the
+    vectorized twin, and a per-byte spare that measures the call's need.
+
+    ``blobs`` maps an address to bytes planted there (crossing into the
+    second page when it is mapped).  ``fs_hook``, when given, builds a
+    fresh filesystem fault hook for each process.
+    """
+    procs = []
+    for make in (scalar_process, SimProcess, scalar_process):
+        proc = make()
+        if fs_hook is not None:
+            proc.fs.fault_hook = fs_hook()
         proc.space.map_region(PAGE_SIZE, Perm.RW, "scene", at=SCENE)
         if follower is not None:
             proc.space.map_region(PAGE_SIZE, follower, "scene2",
                                   at=SCENE + PAGE_SIZE)
-        plant(proc.space, SCENE, b"\x00" * PAGE_SIZE)
-        plant(proc.space, SCENE + PAGE_SIZE - len(payload) if payload
-              else SCENE, payload)
-        if wide_payload:
-            plant(proc.space, SCENE + 256, wide_payload)
-        pair.append(proc)
+        for address, blob in blobs.items():
+            plant(proc.space, address, blob)
+        procs.append(proc)
+    return procs
+
+
+def twin_procs(fuel, follower, payload):
+    """The reference and vectorized processes with ``payload`` ending at
+    the first page's edge and every call under the ``fuel`` budget."""
+    at = SCENE + PAGE_SIZE - len(payload) if payload else SCENE
+    pair = scene_procs(follower, {at: payload})[:2]
+    for proc in pair:
+        proc.fuel = fuel
     return pair
 
 
@@ -255,7 +307,7 @@ class TestLibcParity:
             args = (edge, value, span)
         else:  # memcmp
             args = (inner, edge, span)
-        ref = run_call(reference, libc_registry, name, args)
+        ref = run_call(reference, scalar_libc, name, args)
         vec = run_call(vectorized, libc_registry, name, args)
         assert_procs_agree(reference, vectorized, ref, vec)
 
@@ -287,7 +339,7 @@ class TestLibcParity:
             args = (inner, edge)
         else:  # wcschr
             args = (edge, target)
-        ref = run_call(reference, libc_registry, name, args)
+        ref = run_call(reference, scalar_libc, name, args)
         vec = run_call(vectorized, libc_registry, name, args)
         assert_procs_agree(reference, vectorized, ref, vec)
 
@@ -314,7 +366,7 @@ class TestLibcParity:
         if use_stdin_gets:
             for proc in (reference, vectorized):
                 proc.fuel = fuel
-            ref = run_call(reference, libc_registry, "gets", (dest,))
+            ref = run_call(reference, scalar_libc, "gets", (dest,))
             vec = run_call(vectorized, libc_registry, "gets", (dest,))
         else:
             streams = []
@@ -325,7 +377,7 @@ class TestLibcParity:
                 if fuel is not None:
                     proc.fuel = proc.fuel_used + fuel
             assert streams[0] == streams[1]
-            ref = run_call(reference, libc_registry, "fgets",
+            ref = run_call(reference, scalar_libc, "fgets",
                            (dest, size, streams[0]))
             vec = run_call(vectorized, libc_registry, "fgets",
                            (dest, size, streams[1]))
@@ -360,9 +412,9 @@ class TestSafeGetsParity:
         if newline_at is not None:
             stdin = stdin[:newline_at] + b"\n" + stdin[newline_at:]
         results = []
-        for scalar in (True, False):
-            proc = SimProcess()
-            proc.space.scalar = scalar
+        for make, gets in ((scalar_process, safe_gets),
+                           (SimProcess, _safe_gets)):
+            proc = make()
             proc.fs.feed_stdin(stdin)
             dest = proc.alloc_buffer(capacity)
             state = _GuardState()
@@ -371,7 +423,7 @@ class TestSafeGetsParity:
             events = []
             violations = []
             frame = CallFrame(proc, "gets", (dest,))
-            outcome = capture(lambda: _safe_gets(
+            outcome = capture(lambda: gets(
                 frame, state, events.append,
                 lambda f, reason: violations.append(reason)))
             span = max(capacity, table_capacity or 0) + 1
@@ -406,27 +458,6 @@ TEXT_PIECES = {b"a", b"Hello, ", b"x" * 37, b"%c", b"%s", b"%n"}
 FMT_TAIL = st.sampled_from([b""] * 6 + [b"%", b"%-", b"%l", b"%5."])
 
 
-def scene_procs(follower, blobs):
-    """Processes over the two-page scene: the scalar reference, the
-    vectorized twin, and a scalar spare that measures the call's need.
-
-    ``blobs`` maps an address to bytes planted there (crossing into the
-    second page when it is mapped).
-    """
-    procs = []
-    for scalar in (True, False, True):
-        proc = SimProcess()
-        proc.space.scalar = scalar
-        proc.space.map_region(PAGE_SIZE, Perm.RW, "scene", at=SCENE)
-        if follower is not None:
-            proc.space.map_region(PAGE_SIZE, follower, "scene2",
-                                  at=SCENE + PAGE_SIZE)
-        for address, blob in blobs.items():
-            plant(proc.space, address, blob)
-        procs.append(proc)
-    return procs
-
-
 def observe(proc, outcome):
     """Everything a bulk body could change, for the parity assert."""
     return (outcome, proc.errno, proc.fuel_used, proc_snapshot(proc),
@@ -435,7 +466,8 @@ def observe(proc, outcome):
 
 
 def run_budgeted(procs, pick, call):
-    """Run ``call`` on the twins under the picked budget; both views.
+    """Run ``call(proc, libc)`` on the twins under the picked budget,
+    the per-byte ones with the oracle registry; both views.
 
     The budget is armed last, so only the call under test runs
     against it.
@@ -443,12 +475,13 @@ def run_budgeted(procs, pick, call):
     reference, vectorized, spare = procs
     if pick is not None:
         before = spare.fuel_used
-        capture(lambda: call(spare))
+        capture(lambda: call(spare, scalar_libc))
         need = spare.fuel_used - before
         for proc in (reference, vectorized):
             proc.fuel = proc.fuel_used + pick % (need + 2)
-    return [observe(proc, capture(lambda: call(proc)))
-            for proc in (reference, vectorized)]
+    return [observe(proc, capture(lambda: call(proc, libc)))
+            for proc, libc in ((reference, scalar_libc),
+                               (vectorized, libc_registry))]
 
 
 BULK = settings(COMMON, max_examples=100)
@@ -457,11 +490,12 @@ BULK = settings(COMMON, max_examples=100)
 class TestBudgetedBulkParity:
     #: (function, where sprintf's destination goes): onto the format
     #: (writes the loop reads back), near the page edge (writes run off
-    #: it), or anywhere in the page
+    #: it), or anywhere in the page; fprintf's "hook" lane arms a
+    #: filesystem fault hook that fails some of its write calls
     @pytest.mark.parametrize("name,dest_kind", [
         ("sprintf", "format"), ("sprintf", "edge"), ("sprintf", "page"),
         ("snprintf", "format"), ("snprintf", "edge"), ("printf", None),
-        ("fprintf", None),
+        ("fprintf", None), ("fprintf", "hook"),
     ])
     @given(
         fuel=BUDGET,
@@ -515,23 +549,27 @@ class TestBudgetedBulkParity:
                  string_at: text.replace(b"\x00", b"") + b"\x00"}
         if not fmt_at_edge:
             blobs[SCENE + PAGE_SIZE - len(text)] = text
-        procs = scene_procs(follower, blobs)
+        fs_hook = None
+        if dest_kind == "hook":
+            period = dest_shift % 6 + 2
+            fs_hook = lambda: failing_writes(period)
+        procs = scene_procs(follower, blobs, fs_hook)
         streams = []
         for proc in procs:
             index = proc.fs.open("/out.txt", "w")
             streams.append(make_file_struct(proc, index))
         assert streams[0] == streams[1] == streams[2]
-        libc = libc_registry
         if name == "sprintf":
-            call = lambda proc: libc["sprintf"](proc, dest, fmt_at, *args)
+            call = lambda proc, libc: libc["sprintf"](proc, dest, fmt_at,
+                                                      *args)
         elif name == "snprintf":
-            call = lambda proc: libc["snprintf"](proc, dest, limit, fmt_at,
-                                                 *args)
+            call = lambda proc, libc: libc["snprintf"](proc, dest, limit,
+                                                       fmt_at, *args)
         elif name == "printf":
-            call = lambda proc: libc["printf"](proc, fmt_at, *args)
+            call = lambda proc, libc: libc["printf"](proc, fmt_at, *args)
         else:
-            call = lambda proc: libc["fprintf"](proc, streams[0], fmt_at,
-                                                *args)
+            call = lambda proc, libc: libc["fprintf"](proc, streams[0],
+                                                      fmt_at, *args)
         reference, vectorized = run_budgeted(procs, fuel, call)
         assert vectorized == reference
 
@@ -559,8 +597,7 @@ class TestBudgetedBulkParity:
         blobs = {start: haystack, needle_at: needle + b"\x00"}
         procs = scene_procs(follower, blobs)
         reference, vectorized = run_budgeted(
-            procs, fuel,
-            lambda proc: libc_registry[name](proc, start, needle_at))
+            procs, fuel, lambda proc, libc: libc[name](proc, start, needle_at))
         assert vectorized == reference
 
     @given(
@@ -581,7 +618,7 @@ class TestBudgetedBulkParity:
                        for proc in procs]
         assert comparators[0] == comparators[1] == comparators[2]
         reference, vectorized = run_budgeted(
-            procs, fuel, lambda proc: libc_registry["qsort"](
+            procs, fuel, lambda proc, libc: libc["qsort"](
                 proc, base, nmemb, size, comparators[0]))
         assert vectorized == reference
 
@@ -613,7 +650,7 @@ class TestBudgetedBulkParity:
             write_tm(proc, tm_at, _break_down(stamp))
         dest = SCENE + PAGE_SIZE - dest_tail
         reference, vectorized = run_budgeted(
-            procs, fuel, lambda proc: libc_registry["strftime"](
+            procs, fuel, lambda proc, libc: libc["strftime"](
                 proc, dest, max_, fmt_at, tm_at))
         assert vectorized == reference
 
@@ -622,18 +659,19 @@ def _first_byte_order(proc, left, right):
     return proc.space.read(left, 1)[0] - proc.space.read(right, 1)[0]
 
 
+def failing_writes(period):
+    """A filesystem fault hook failing every ``period``-th file write."""
+    writes = itertools.count(1)
+    return lambda op, index: op == "write" and next(writes) % period == 0
+
+
 # ----------------------------------------------------------------------
 # the same parity over the campaign's own probes
 # ----------------------------------------------------------------------
 
-#: the bodies whose bulk paths run under the campaign's probe budget
-BULK_BODIES = ["sprintf", "snprintf", "printf", "fprintf", "strstr",
-               "strspn", "strcspn", "strpbrk", "qsort", "strftime"]
-
-
 def _sweep(campaign):
     rows = []
-    for name in BULK_BODIES:
+    for name in sorted(BODIES):
         for probe, value in campaign.probe_plan(name):
             execution = campaign.execute_probe(probe, value)
             result = execution.result
@@ -650,13 +688,79 @@ def _sweep(campaign):
 class TestCampaignParity:
     def test_every_planned_probe_matches_the_scalar_backend(
             self, monkeypatch):
-        """Each probe of the rewritten bodies, run in a budgeted probe
-        process, ends identically on both memory backends."""
-        campaign = Campaign(libc_registry, manpages=load_corpus())
-        monkeypatch.delenv("HEALERS_SCALAR_MEMORY", raising=False)
-        vectorized = _sweep(campaign)
-        monkeypatch.setenv("HEALERS_SCALAR_MEMORY", "1")
-        reference = _sweep(campaign)
-        assert len(vectorized) == 265
+        """Each probe of every body the oracle replaces, run in a
+        budgeted probe process, ends identically on the runtime and on
+        the per-byte oracle (its registry over its address space)."""
+        corpus = load_corpus()
+        vectorized = _sweep(Campaign(libc_registry, manpages=corpus))
+        monkeypatch.setattr("repro.injection.campaign.SimProcess",
+                            scalar_process)
+        reference = _sweep(Campaign(scalar_libc, manpages=corpus))
+        assert len(vectorized) == len(reference) == 764
         for got, want in zip(vectorized, reference):
             assert got == want
+
+
+# ----------------------------------------------------------------------
+# every bulk body and helper has a per-byte oracle
+# ----------------------------------------------------------------------
+
+#: what marks a bulk path: fuel drawn for a whole run in one step, or a
+#: side effect clamped to the fuel headroom
+BULK_MARKS = {"consume_metered", "fuel_headroom"}
+
+
+def _code_names(fn):
+    names = set()
+    codes = [fn.__code__]
+    while codes:
+        code = codes.pop()
+        names.update(code.co_names)
+        codes.extend(const for const in code.co_consts
+                     if isinstance(const, types.CodeType))
+    return names
+
+
+def _reaches_bulk(fn, seen=None):
+    """True when ``fn``, or a function of its own module that it calls,
+    runs a bulk path."""
+    seen = set() if seen is None else seen
+    if fn in seen:
+        return False
+    seen.add(fn)
+    names = _code_names(fn)
+    if names & BULK_MARKS:
+        return True
+    callees = [fn.__globals__.get(name) for name in names]
+    callees += [cell.cell_contents for cell in fn.__closure__ or ()]
+    return any(_reaches_bulk(callee, seen) for callee in callees
+               if isinstance(callee, types.FunctionType)
+               and callee.__module__ == fn.__module__)
+
+
+class TestOracleCoverage:
+    def test_replaced_bodies_are_pinned(self):
+        assert set(BODIES) == {
+            "fgets", "fprintf", "gets", "memchr", "memcmp", "memcpy",
+            "memmove", "memset", "printf", "qsort", "snprintf", "sprintf",
+            "stpcpy", "strcasecmp", "strchr", "strcmp", "strcoll", "strcpy",
+            "strcspn", "strftime", "strlen", "strncasecmp", "strncmp",
+            "strncpy", "strnlen", "strpbrk", "strrchr", "strspn", "strstr",
+            "wcschr", "wcscmp", "wcscpy", "wcslen", "wcsncpy",
+        }
+        assert all(scalar_libc[name].impl is BODIES[name]
+                   for name in BODIES)
+
+    def test_every_bulk_body_has_an_oracle(self):
+        """A body with a bulk path of its own must be replaced; the rest
+        reach bulk code only through the helpers below."""
+        bulk = {function.name for function in libc_registry
+                if _reaches_bulk(function.impl)}
+        assert bulk - set(BODIES) == set()
+
+    def test_every_bulk_helper_has_an_oracle(self):
+        bulk = {name for name, value in vars(helpers).items()
+                if isinstance(value, types.FunctionType)
+                and value.__module__ == helpers.__name__
+                and not name.startswith("_") and _reaches_bulk(value)}
+        assert bulk == set(HELPERS)

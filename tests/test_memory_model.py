@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import BusError, SegmentationFault
 from repro.memory import PAGE_SIZE, AddressSpace, Perm, page_align
+from tests.oracles import ScalarAddressSpace
 
 
 @pytest.fixture
@@ -238,8 +239,8 @@ class TestVectorizedSubstrate:
         assert space.cstring_length(start, limit=-3) == 0
 
     def test_scalar_backend_matches_on_limit_edge(self):
-        for scalar in (True, False):
-            space = AddressSpace(scalar=scalar)
+        for space_type in (ScalarAddressSpace, AddressSpace):
+            space = space_type()
             m = space.map_region(PAGE_SIZE)
             space.fill(m.start, 0x41, m.size)
             start = m.end - 10

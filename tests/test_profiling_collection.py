@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.collection import CollectionServer, CollectionStore, submit_document
+from repro.collection import CollectionStore, submit_document
+from tests.oracles import CollectionServer
 from repro.profiling import (
     ProfileDocument,
     render_call_frequency,

@@ -439,7 +439,7 @@ class TestCollectionSink:
 
 @pytest.fixture
 def collection_server():
-    from repro.collection import CollectionServer
+    from repro.collection import IngestServer
 
-    with CollectionServer() as server:
+    with IngestServer() as server:
         yield server
