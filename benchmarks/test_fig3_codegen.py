@@ -15,7 +15,6 @@ import re
 from repro.wrappers import (
     PROFILING,
     WrapperFactory,
-    compose_wrapper,
     render_function,
     render_library,
     units_for,

@@ -9,8 +9,9 @@ source string" — as a hard assertion.
 The full-coverage half (``BENCH_robust_api.json``) quantifies the
 introspection-derived check plans: functions covered, parameters with
 plans, parity with the hand-tuned document on the probed subset, and
-the compiled-vs-interpreted dispatch overhead of plan-sourced checks
-(gated at ``HEALERS_DISPATCH_GATE``, like the T2 overhead gate).
+the dispatch overhead of plan-sourced checks, compiled vs the tests'
+per-call reference composer (gated at ``HEALERS_DISPATCH_GATE``, like
+the T2 overhead gate).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from repro.linker import DynamicLinker, SharedLibrary
 from repro.robust import RobustAPIDocument, coverage_report, derive_check_plans
 from repro.runtime import SimProcess
 from repro.wrappers import PRESETS, WrapperFactory
+from tests.oracles.wrappers import wrapper_backend
 
 DISPATCH_GATE = float(os.environ.get("HEALERS_DISPATCH_GATE", "3.0"))
 
@@ -101,9 +103,9 @@ def _linker_with(registry, api_document, preset, backend="compiled"):
     linker = DynamicLinker()
     linker.add_library(SharedLibrary.from_registry(registry))
     if preset != "none":
-        WrapperFactory(registry, api_document).preload(
-            linker, PRESETS[preset], backend=backend
-        )
+        with wrapper_backend(backend):
+            WrapperFactory(registry, api_document).preload(
+                linker, PRESETS[preset])
     return linker
 
 
@@ -116,9 +118,10 @@ def test_full_coverage_check_plans(registry, manpages, derivations,
     no injection required); (2) on the fault-injected subset the
     introspected document reproduces the hand-tuned checks
     parameter-for-parameter; (3) the plan-sourced robustness wrapper
-    pays no extra dispatch cost — the compiled backend still beats the
-    interpreted hook chain by ``DISPATCH_GATE``x on a machinery-
-    dominated call (same interleaved-minimum protocol as T2).
+    pays no extra dispatch cost — the compiled wrappers still beat the
+    interpreted hook chain (the reference composer in
+    ``tests/oracles/wrappers.py``) by ``DISPATCH_GATE``x on a
+    machinery-dominated call (same interleaved-minimum protocol as T2).
     """
     plans = derive_check_plans(registry, manpages, derivations)
     plans.update(derive_check_plans(math_registry(), manpages))

@@ -216,7 +216,6 @@ class ChaosCampaign:
         #: substrate calls an attack run actually makes, or no k-set
         #: ever fires and the whole space collapses to one class
         horizon: int = 6,
-        backend: str = "compiled",
         exec_backend: str = "serial",
         jobs: int = 2,
         watchdog: Optional[float] = None,
@@ -241,7 +240,6 @@ class ChaosCampaign:
         self.trials = trials
         self.kmax = kmax
         self.horizon = horizon
-        self.backend = backend
         self.exec_backend = exec_backend
         self.jobs = max(1, jobs)
         self.watchdog = watchdog
@@ -268,7 +266,6 @@ class ChaosCampaign:
             "trials": self.trials,
             "kmax": self.kmax,
             "horizon": self.horizon,
-            "backend": self.backend,
         }
         digest.update(json.dumps(payload, sort_keys=True).encode())
         return digest.hexdigest()
@@ -288,7 +285,7 @@ class ChaosCampaign:
         injector.arm_heap(process.heap)
         injector.arm_filesystem(process.fs)
         run = run_attack(attack, preset, self.registry, self.api,
-                         backend=self.backend, process=process)
+                         process=process)
         return AdversarialRecord(
             attack=attack.name,
             attack_class=attack.attack_class,

@@ -9,9 +9,9 @@ the wrappers took.
 
 Because every source of variation is seeded (the plan) or rebuilt per
 trial (the process and wrapper state), a campaign is a pure function of
-``(seed, policy, backend)``: the regression suite asserts the full
-event stream is identical across repeated runs and across the
-compiled/interpreted wrapper backends.
+``(seed, policy)``: the regression suite asserts the full event stream
+is identical across repeated runs, and identical to a run whose
+wrappers come from the tests' per-call reference composer.
 """
 
 from __future__ import annotations
@@ -145,7 +145,6 @@ class ChaosHarness:
         api: Optional[RobustAPIDocument] = None,
         policy: Optional[SecurityPolicy] = None,
         spec: WrapperSpec = RECOVERY,
-        backend: str = "compiled",
         seed: int = 0,
         horizon: int = 200,
         rate: float = 0.05,
@@ -157,7 +156,6 @@ class ChaosHarness:
             recovery=self_healing_policy()
         )
         self.spec = spec
-        self.backend = backend
         self.seed = seed
         self.horizon = horizon
         self.rate = rate
@@ -186,8 +184,7 @@ class ChaosHarness:
             self.registry, self.api,
             generators=default_generator_registry(self.policy),
         )
-        built = factory.preload(linker, self.spec, backend=self.backend,
-                                sinks=[metrics])
+        built = factory.preload(linker, self.spec, sinks=[metrics])
         result = run_app(scenario.app, linker, argv=list(scenario.argv),
                          stdin=scenario.stdin, files=dict(scenario.files),
                          process=process)

@@ -4,8 +4,8 @@ The injector owns one call counter per site, consults the plan on every
 tick, and keeps an ordered event log of the faults that actually fired —
 ``(site, call_index)`` pairs in injection order.  The log is the
 determinism witness: two runs of the same plan over the same workload
-must produce identical logs, whatever wrapper backend executed between
-the ticks.
+must produce identical logs, whatever wrappers executed between the
+ticks.
 
 Injection points:
 

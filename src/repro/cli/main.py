@@ -176,9 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
     adversarial.add_argument("--horizon", type=int, default=6,
                              help="invocation-index horizon faults are "
                                   "scheduled within (default 6)")
-    adversarial.add_argument("--wrapper-backend", default="compiled",
-                             choices=["compiled", "interpreted"],
-                             help="wrapper execution backend")
     adversarial.add_argument("--exec-backend", default="serial",
                              choices=["serial", "thread"],
                              help="campaign worker pool backend")
@@ -217,9 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(0 = report only; below the floor exits 1)")
     serve.add_argument("--no-fuse", action="store_true",
                        help="serve without the fused fast path")
-    serve.add_argument("--wrapper-backend", default="compiled",
-                       choices=["compiled", "interpreted"],
-                       help="wrapper execution backend")
 
     storm = sub.add_parser(
         "storm",
@@ -252,9 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(0 = report only; below the floor exits 1)")
     storm.add_argument("--json", action="store_true",
                        help="print the full storm report as JSON")
-    storm.add_argument("--wrapper-backend", default="compiled",
-                       choices=["compiled", "interpreted"],
-                       help="wrapper execution backend")
 
     collector = sub.add_parser(
         "serve-collector",
@@ -648,7 +639,6 @@ def _cmd_adversarial(toolkit: Healers, args) -> int:
         trials=args.trials,
         kmax=args.kmax,
         horizon=args.horizon,
-        backend=args.wrapper_backend,
         exec_backend=args.exec_backend,
         jobs=args.jobs,
         watchdog=args.watchdog or None,
@@ -729,7 +719,7 @@ def _cmd_serve(toolkit: Healers, args) -> int:
         return 2
     fused = not args.no_fuse
     session = ServingSession(
-        app, preset=args.preset, backend=args.wrapper_backend,
+        app, preset=args.preset,
         fused=fused, registry=toolkit.registry,
         api=full_coverage_api(toolkit.registry, toolkit.manpages),
     )
@@ -741,7 +731,7 @@ def _cmd_serve(toolkit: Healers, args) -> int:
     session.serve_all(gen.warmup)
     stats = session.drive(gen.stream(args.requests))
     lane = "fused" if fused else "unfused"
-    print(f"{app.name} [{args.preset}/{args.wrapper_backend}, {lane}] "
+    print(f"{app.name} [{args.preset}, {lane}] "
           f"mix={args.mix} seed={args.seed}")
     print(f"  {stats.requests} requests in {stats.elapsed:.3f}s "
           f"=> {stats.rps:,.0f} requests/sec")
@@ -783,7 +773,7 @@ def _cmd_storm(toolkit: Healers, args) -> int:
     slo = ServingSLO(deadline_fuel=args.deadline_fuel) \
         if args.deadline_fuel else None
     session = ResilientSession(
-        app, preset=args.preset, backend=args.wrapper_backend,
+        app, preset=args.preset,
         registry=toolkit.registry, api=api, slo=slo,
     )
     session.prepare(gen)
@@ -792,8 +782,7 @@ def _cmd_storm(toolkit: Healers, args) -> int:
     if args.baseline:
         base = run_unsupervised(
             app, schedule, requests, preset=args.preset,
-            backend=args.wrapper_backend, registry=toolkit.registry,
-            api=api, gen=gen,
+            registry=toolkit.registry, api=api, gen=gen,
         )
     if args.json:
         payload = {"supervised": report.to_dict()}
@@ -803,7 +792,7 @@ def _cmd_storm(toolkit: Healers, args) -> int:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         counts = report.counts()
-        print(f"{app.name} [{args.preset}/{args.wrapper_backend}] "
+        print(f"{app.name} [{args.preset}] "
               f"storm seed={args.seed} trial={args.trial} "
               f"({schedule.total_faults()} scheduled faults)")
         print(f"  availability {report.availability:.1%} "

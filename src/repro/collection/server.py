@@ -56,9 +56,8 @@ class CollectionStore:
     maintained on :meth:`submit`, so the query methods are dictionary
     lookups instead of full rescans of the document list — at fleet
     scale the store holds documents from thousands of shippers and the
-    aggregation endpoints are hit per ack, not per report.  The rescan
-    implementations are kept (``_rescan_*``) as the reference the
-    regression tests compare against.
+    aggregation endpoints are hit per ack, not per report.  (The tests
+    compare the indexes against full rescans of :attr:`documents`.)
     """
 
     documents: List[StoredDocument] = field(default_factory=list)
@@ -130,25 +129,6 @@ class CollectionStore:
         """Total call counts per function across every stored document."""
         with self._lock:
             return dict(self._call_totals)
-
-    # ------------------------------------------------------------------
-    # rescan reference paths (regression oracles for the indexes)
-    # ------------------------------------------------------------------
-
-    def _rescan_by_application(self, application: str) -> List[StoredDocument]:
-        with self._lock:
-            return [
-                d for d in self.documents
-                if d.document.application == application
-            ]
-
-    def _rescan_aggregate_calls(self) -> Dict[str, int]:
-        totals: Dict[str, int] = {}
-        with self._lock:
-            for stored in self.documents:
-                for name, profile in stored.document.functions.items():
-                    totals[name] = totals.get(name, 0) + profile.calls
-        return totals
 
 
 def submit_document(address: Tuple[str, int], xml_text: str,

@@ -405,32 +405,27 @@ class Healers:
         self,
         wrapper: "str | WrapperSpec",
         functions: Optional[Sequence[str]] = None,
-        backend: str = "compiled",
     ) -> BuiltWrapper:
         """Build a wrapper library (not yet preloaded).
 
         The library's bus carries its own ``StateSink`` plus whatever
         sinks :meth:`configure_telemetry` installed, so one JSONL trace
         or metrics view spans every wrapper the toolkit builds.
-        ``backend`` selects the composition strategy (``"compiled"``
-        fast-path closures or the ``"interpreted"`` reference loop).
         """
         capacity = (self.telemetry_settings.batch_size
                     if self.telemetry_settings is not None else 256)
         return self._factory().build_library(
             self.linker, self.resolve_spec(wrapper), functions=functions,
             sinks=self.telemetry_sinks, bus_capacity=capacity,
-            backend=backend,
         )
 
     def preload(
         self,
         wrapper: "str | WrapperSpec",
         functions: Optional[Sequence[str]] = None,
-        backend: str = "compiled",
     ) -> BuiltWrapper:
         """Build a wrapper library and LD_PRELOAD it into the linker."""
-        built = self.generate_wrapper(wrapper, functions, backend=backend)
+        built = self.generate_wrapper(wrapper, functions)
         self.linker.preload(built.library)
         return built
 

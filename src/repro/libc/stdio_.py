@@ -27,7 +27,6 @@ from repro.libc.registry import (
 from repro.runtime.filesystem import (
     FILE_MAGIC,
     FILE_STRUCT_SIZE,
-    STDERR_INDEX,
     STDIN_INDEX,
     STDOUT_INDEX,
 )

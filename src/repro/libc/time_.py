@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from repro.libc import helpers
 from repro.libc.registry import LibcRegistry, libc_function, null_on_error
 from repro.runtime.process import SimProcess
 

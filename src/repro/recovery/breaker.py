@@ -10,7 +10,8 @@ Stepping **down** trades throughput for checking: the fused lanes
 replay recorded traces and memoized verdicts, which is exactly the state
 you stop trusting while faults are landing — ``table`` disables trace replay,
 ``interpreted`` bypasses the fused image entirely (per-call dynamic
-dispatch through the wrapped PLT), and ``shed`` stops admitting
+dispatch through the compiled wrappers in the PLT; the name is the
+rung's alone, wrappers are always compiled), and ``shed`` stops admitting
 requests except for periodic probes.  Stepping **up** requires a clean
 streak, so a service never flaps out of shed on a single lucky probe.
 

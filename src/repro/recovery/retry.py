@@ -10,26 +10,19 @@ The generator is inert unless a :class:`~repro.recovery.RecoveryPolicy`
 maps ``transient_errno`` to ``retry`` for the function, so presets that
 include it pay nothing when recovery is not configured.
 
-Backend split (mirroring the other hot-path generators):
-
-* compiled — contributes a :attr:`~repro.wrappers.microgen.RuntimeHooks.
-  wrap_call` transformer; the fast path wraps the one-shot-resolved
-  target itself, so the direct-tail-call and frame-free guard forms
-  survive and the retry loop lives *inside* the intercepted call;
-* interpreted — a postfix hook re-invoking the call through its own
-  one-shot resolver, behaviourally identical (reference path for the
-  backend differentials).
+The generator contributes a :attr:`~repro.wrappers.microgen.RuntimeHooks.
+wrap_call` transformer: the compiled wrapper wraps the one-shot-resolved
+target itself, so the direct-tail-call and frame-free guard forms
+survive and the retry loop lives *inside* the intercepted call.
 """
 
 from __future__ import annotations
 
-import threading
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.telemetry import RecoveryEvent
 from repro.wrappers.generators import error_return_value
 from repro.wrappers.microgen import (
-    CallFrame,
     MicroGenerator,
     RuntimeHooks,
     WrapperUnit,
@@ -68,87 +61,32 @@ class RetryGen(MicroGenerator):
             unit.prototype, unit.decl.error_return if unit.decl else ""
         )
 
-        if unit.fastpath:
-            def wrap_call(target: Callable) -> Callable:
-                def retrying(process, *args):
-                    # errno is sticky in C: a stale ENOMEM must not make
-                    # a *successful* zero return look like a failure.
-                    # Clear it for the call, restore it if untouched.
-                    saved = process.errno
-                    process.errno = 0
-                    ret = target(process, *args)
-                    if ret == error_value and process.errno in transient:
-                        attempts = 0
-                        while attempts < max_retries:
-                            attempts += 1
-                            process.consume(backoff * attempts)
-                            process.errno = 0
-                            ret = target(process, *args)
-                            if (ret != error_value
-                                    or process.errno not in transient):
-                                break
-                        emit(RecoveryEvent(
-                            function=name, violation="transient_errno",
-                            action="retry", attempts=attempts,
-                            recovered=ret != error_value,
-                        ))
-                    if process.errno == 0:
-                        process.errno = saved
-                    return ret
-                return retrying
+        def wrap_call(target: Callable) -> Callable:
+            def retrying(process, *args):
+                # errno is sticky in C: a stale ENOMEM must not make
+                # a *successful* zero return look like a failure.
+                # Clear it for the call, restore it if untouched.
+                saved = process.errno
+                process.errno = 0
+                ret = target(process, *args)
+                if ret == error_value and process.errno in transient:
+                    attempts = 0
+                    while attempts < max_retries:
+                        attempts += 1
+                        process.consume(backoff * attempts)
+                        process.errno = 0
+                        ret = target(process, *args)
+                        if (ret != error_value
+                                or process.errno not in transient):
+                            break
+                    emit(RecoveryEvent(
+                        function=name, violation="transient_errno",
+                        action="retry", attempts=attempts,
+                        recovered=ret != error_value,
+                    ))
+                if process.errno == 0:
+                    process.errno = saved
+                return ret
+            return retrying
 
-            return RuntimeHooks(generator=self.name, wrap_call=wrap_call)
-
-        # interpreted reference path: a prefix saves-and-clears errno, a
-        # postfix re-invokes the call through an own one-shot resolver
-        # (postfixes run innermost-first, so it sees the ret the caller
-        # generator just produced) — behaviourally identical to the
-        # fast path's wrap_call form
-        resolve_next = unit.resolve_next
-        lock = threading.Lock()
-        cache: list = [None]
-
-        def acquire() -> Callable:
-            target = cache[0]
-            if target is None:
-                with lock:
-                    target = cache[0]
-                    if target is None:
-                        target = resolve_next()
-                        target = getattr(target, "impl", target)
-                        cache[0] = target
-            return target
-
-        def retry_pre(frame: CallFrame) -> None:
-            if frame.skip_call:
-                return
-            proc = frame.process
-            frame.scratch["retry_errno"] = proc.errno
-            proc.errno = 0
-
-        def retry_post(frame: CallFrame) -> None:
-            saved = frame.scratch.pop("retry_errno", None)
-            if saved is None:
-                return  # the call was contained before our prefix ran
-            proc = frame.process
-            if frame.ret == error_value and proc.errno in transient:
-                attempts = 0
-                target = acquire()
-                while attempts < max_retries:
-                    attempts += 1
-                    proc.consume(backoff * attempts)
-                    proc.errno = 0
-                    frame.ret = target(proc, *frame.all_args)
-                    if (frame.ret != error_value
-                            or proc.errno not in transient):
-                        break
-                emit(RecoveryEvent(
-                    function=name, violation="transient_errno",
-                    action="retry", attempts=attempts,
-                    recovered=frame.ret != error_value,
-                ))
-            if proc.errno == 0:
-                proc.errno = saved
-
-        return RuntimeHooks(generator=self.name, prefix=retry_pre,
-                            postfix=retry_post, uses_scratch=True)
+        return RuntimeHooks(generator=self.name, wrap_call=wrap_call)

@@ -408,24 +408,21 @@ _NEEDS_VALUES = frozenset((
 class ArgumentChecker:
     """Compiled prefix checks for one wrapped function.
 
-    With ``compiled=True`` (the default) each parameter's check template
-    is bound once, at construction, into a closure over the parameter's
-    metadata — the per-call work is one closure call per check, with no
-    string dispatch.  ``compiled=False`` keeps the original interpreted
-    ladder (:meth:`_run_check`), preserved as the reference
-    implementation for the fast-path differential tests.
+    Each parameter's check template is bound once, at construction, into
+    a closure over the parameter's metadata — the per-call work is one
+    closure call per check, with no string dispatch.  (The tests keep a
+    per-call ladder over the same templates as their reference oracle.)
 
     Accepts either IR: an introspection-derived :class:`CheckPlan` or a
     hand-tuned declaration entry (``FunctionDecl``), which is lifted
     into the plan IR first — one code path serves both.
     """
 
-    def __init__(self, decl, prototype: Prototype, compiled: bool = True):
+    def __init__(self, decl, prototype: Prototype):
         self.plan: CheckPlan = as_plan(decl)
         self.decl = decl
         self.prototype = prototype
         self.function = self.plan.function
-        self.compiled = compiled
         self._index_of: Dict[str, int] = {
             p.name: i for i, p in enumerate(prototype.params)
         }
@@ -451,25 +448,24 @@ class ArgumentChecker:
         #: the check plan: (param, argument index or None, bound closure)
         self._plan: List[Tuple[ParamPlan, Optional[int], CheckFn]] = []
         self._needs_values = False
-        if compiled:
-            for param in self.ordered:
-                check_fn = self._compile_check(param)
-                if check_fn is None:
-                    continue  # unknown template: be permissive, never crash
-                self._plan.append(
-                    (param, self._index_of.get(param.name), check_fn)
-                )
-                if param.check in _NEEDS_VALUES or (
-                    param.nullable and param.check in (
-                        "ptr_writable", "buffer_capacity",
-                        "wbuffer_capacity", "buffer_readable_extent")
-                ):
-                    self._needs_values = True
+        for param in self.ordered:
+            check_fn = self._compile_check(param)
+            if check_fn is None:
+                continue  # unknown template: be permissive, never crash
+            self._plan.append(
+                (param, self._index_of.get(param.name), check_fn)
+            )
+            if param.check in _NEEDS_VALUES or (
+                param.nullable and param.check in (
+                    "ptr_writable", "buffer_capacity",
+                    "wbuffer_capacity", "buffer_readable_extent")
+            ):
+                self._needs_values = True
 
     @property
     def has_checks(self) -> bool:
         """True when at least one check can fire on this function."""
-        return bool(self._plan) if self.compiled else bool(self.ordered)
+        return bool(self._plan)
 
     # ------------------------------------------------------------------
 
@@ -482,32 +478,8 @@ class ArgumentChecker:
     def validate_all(self, proc: SimProcess, args: Sequence[Any],
                      varargs: Sequence[Any] = (),
                      first_only: bool = False) -> List[CheckViolation]:
-        """Run checks, collecting every violation (or just the first)."""
-        if self.compiled:
-            return self._validate_plan(proc, args, varargs, first_only)
-        values = {p.name: args[self._index_of[p.name]]
-                  for p in self.plan.params if p.name in self._index_of}
-        violations: List[CheckViolation] = []
-        for param in self.ordered:
-            value = values.get(param.name)
-            detail = self._run_check(proc, param, value, values, varargs)
-            if detail is not None:
-                violations.append(
-                    CheckViolation(
-                        function=self.function,
-                        param=param.name,
-                        check=param.check,
-                        detail=detail,
-                    )
-                )
-                if first_only:
-                    break
-        return violations
-
-    def _validate_plan(self, proc: SimProcess, args: Sequence[Any],
-                       varargs: Sequence[Any],
-                       first_only: bool) -> List[CheckViolation]:
-        """Run the compiled check plan (no per-call dispatch)."""
+        """Run the check plan, collecting every violation (or just the
+        first)."""
         values: Optional[Dict[str, Any]] = None
         if self._needs_values:
             values = {name: args[index] for name, index in self._slots}
@@ -542,7 +514,6 @@ class ArgumentChecker:
         while its terminator dependencies hold and the fuel headroom
         covers the fuel it recorded; violating runs always re-execute so
         their ``violate`` side effects repeat exactly.
-        Only meaningful when the checker was built ``compiled=True``.
         """
         plan = self._plan
         slots = self._slots
@@ -642,115 +613,17 @@ class ArgumentChecker:
         return run
 
     # ------------------------------------------------------------------
-    # individual checks
-    # ------------------------------------------------------------------
-
-    def _run_check(self, proc: SimProcess, param: ParamPlan, value: Any,
-                   values: Dict[str, Any],
-                   varargs: Sequence[Any]) -> Optional[str]:
-        check = param.check
-        if check == "ptr_valid_or_null":
-            if value != 0 and readable_extent(proc, value) == 0:
-                return f"pointer {value:#x} is not mapped"
-            return None
-        if check == "ptr_readable":
-            if readable_extent(proc, value) == 0:
-                return f"pointer {value:#x} is not readable"
-            return None
-        if check == "ptr_writable":
-            if value == 0 and param.nullable:
-                return self._null_buffer_allowed(param, values)
-            if writable_extent(proc, value) == 0:
-                return f"pointer {value:#x} is not writable"
-            return None
-        if check in ("string_terminated", "wstring_terminated"):
-            if value == 0 and param.nullable:
-                return None
-            wide = check == "wstring_terminated"
-            if terminated_length(proc, value, wide=wide) is None:
-                return f"no terminator within readable memory at {value:#x}"
-            return None
-        if check in ("buffer_capacity", "wbuffer_capacity"):
-            if value == 0 and param.nullable:
-                return self._null_buffer_allowed(param, values)
-            required = self._required_bytes(proc, param, values, varargs)
-            if required is None:
-                return "cannot establish required capacity"
-            available = writable_extent(proc, value)
-            if available < required:
-                return (f"buffer at {value:#x} provides {available} bytes, "
-                        f"needs {required}")
-            return None
-        if check == "buffer_readable_extent":
-            if value == 0 and param.nullable:
-                return self._null_buffer_allowed(param, values)
-            extent = self._declared_extent(param, values)
-            if readable_extent(proc, value) < extent:
-                return (f"buffer at {value:#x} not readable for "
-                        f"{extent} bytes")
-            return None
-        if check == "word_writable_or_null":
-            if value == 0:
-                return None
-            if writable_extent(proc, value) < POINTER_SIZE:
-                return f"out-slot {value:#x} not writable"
-            return None
-        if check == "word_writable":
-            if writable_extent(proc, value) < POINTER_SIZE:
-                return f"out-slot {value:#x} not writable"
-            return None
-        if check in ("ptr_in_heap_or_null", "heap_live_or_null"):
-            if value == 0:
-                return None
-            if proc.heap.allocation_size(value) is None:
-                return f"{value:#x} is not a live heap allocation"
-            return None
-        if check == "fn_pointer":
-            try:
-                proc.resolve_callback(value)
-            except Exception:
-                return f"{value:#x} is not a function address"
-            return None
-        if check == "ptr_readable_file":
-            if readable_extent(proc, value) < FILE_STRUCT_BYTES:
-                return f"{value:#x} is not a readable FILE object"
-            return None
-        if check == "file_open":
-            return self._check_file(proc, value)
-        if check == "int_uchar_eof":
-            if value == -1 or 0 <= value <= 255:
-                return None
-            return f"{value} outside unsigned char range and not EOF"
-        if check == "int_nonzero":
-            return None if value != 0 else "zero divisor"
-        if check == "int_base":
-            if value == 0 or 2 <= value <= 36:
-                return None
-            return f"invalid conversion base {value}"
-        if check == "size_bounded":
-            return self._check_size_bounded(proc, param, value, values)
-        if check == "format_safe":
-            analysis = analyse_format(proc, value)
-            if analysis is None:
-                return "format string not safely terminated"
-            needed, _ = analysis
-            if needed > len(varargs):
-                return (f"format consumes {needed} arguments, "
-                        f"{len(varargs)} supplied")
-            return None
-        return None  # unknown template: be permissive, never crash
-
-    # ------------------------------------------------------------------
     # the check plan compiler
     # ------------------------------------------------------------------
 
     def _compile_check(self, param: ParamPlan) -> Optional[CheckFn]:
         """Bind one parameter's check template into a closure.
 
-        Each closure reproduces the corresponding :meth:`_run_check`
-        branch exactly (messages included); parameter metadata such as
-        ``nullable`` is resolved here, once, instead of per call.
-        None for unknown templates (permissive, like the ladder).
+        Parameter metadata such as ``nullable`` is resolved here, once,
+        instead of per call; the messages are part of the contract (they
+        land in violation records).  The tests' per-call reference
+        ladder must reproduce each closure exactly.  None for unknown
+        templates: be permissive, never crash.
         """
         check = param.check
         nullable = param.nullable

@@ -14,8 +14,8 @@ from what the toolkit already knows statically —
 
 and, when a campaign has run, the per-parameter
 :class:`~repro.robust.derivation.FunctionDerivation` verdicts.  The
-result is a :class:`CheckPlan` per registry function — the IR both the
-interpreted and the compiled fast-path checkers consume — so the
+result is a :class:`CheckPlan` per registry function — the IR the
+compiled checker consumes, and its one executable form — so the
 robustness preset covers all 123 functions instead of the curated
 subset.
 

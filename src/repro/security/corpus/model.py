@@ -195,7 +195,6 @@ def run_attack(
     preset: PresetConfig,
     registry: LibcRegistry,
     api: Optional[RobustAPIDocument],
-    backend: str = "compiled",
     process: Optional[SimProcess] = None,
 ) -> AttackRun:
     """Execute one attack under one preset and score the outcome.
@@ -216,8 +215,7 @@ def run_attack(
             registry, api,
             generators=default_generator_registry(preset.policy()),
         )
-        built = factory.preload(linker, preset.spec, backend=backend,
-                                sinks=[metrics])
+        built = factory.preload(linker, preset.spec, sinks=[metrics])
     result = run_app(attack.app, linker, stdin=attack.payload(),
                      process=process)
     if built is not None:

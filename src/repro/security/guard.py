@@ -34,7 +34,7 @@ from repro.robust.checks import (
     analyse_format,
     writable_extent,
 )
-from repro.runtime.process import Errno, SimProcess
+from repro.runtime.process import Errno
 from repro.security.policy import (
     ALLOCATING,
     DEALLOCATING,
@@ -61,8 +61,9 @@ def _build_violation_handler(policy: SecurityPolicy, name: str, state,
     (contained: the frame carries the error return) — call sites stop
     checking.  Returns False when a ``repair`` action healed the heap
     cleanly, meaning the call may proceed against the repaired state.
-    Escalation raises.  Shared verbatim by the compiled and interpreted
-    hook builders so the backend differentials stay byte-identical.
+    Escalation raises.  The tests' reference rendering of the guard
+    shares it verbatim, so the differentials compare what the guard
+    checks, not how it responds.
     """
     recovery = policy.recovery
 
@@ -182,11 +183,6 @@ class HeapGuardGen(MicroGenerator):
     # ------------------------------------------------------------------
 
     def runtime_hooks(self, unit: WrapperUnit) -> RuntimeHooks:
-        if unit.fastpath:
-            return self._compiled_hooks(unit)
-        return self._interpreted_hooks(unit)
-
-    def _compiled_hooks(self, unit: WrapperUnit) -> RuntimeHooks:
         """Build-time specialized hooks.
 
         Everything derivable from the function name, declaration and
@@ -319,81 +315,6 @@ class HeapGuardGen(MicroGenerator):
             postfix=postfix,
         )
 
-    def _interpreted_hooks(self, unit: WrapperUnit) -> RuntimeHooks:
-        """The original per-call hooks (reference path for differentials)."""
-        policy = self.policy
-        # the size table is the guard's own operational state — it is
-        # read back within the same call (safe gets, frees), so it stays
-        # a direct mutation; only observations go through the bus
-        state = unit.state
-        emit = unit.bus.emit
-        name = unit.name
-        decl = unit.plan if unit.plan is not None else unit.decl
-        checker = (
-            ArgumentChecker(security_view(decl), unit.prototype,
-                            compiled=False)
-            if decl is not None else None
-        )
-        error_value = error_return_value(
-            unit.prototype, decl.error_return if decl else ""
-        )
-
-        violation_found = _build_violation_handler(
-            policy, name, state, emit, error_value
-        )
-
-        def prefix(frame: CallFrame) -> None:
-            if frame.skip_call:
-                return
-            proc = frame.process
-            if policy.verify_heap == "always" or (
-                policy.verify_heap == "free" and name in DEALLOCATING
-            ):
-                problems = proc.heap.check_integrity()
-                if problems:
-                    if violation_found(frame,
-                                       f"heap corrupted: {problems[0]}",
-                                       _heap_kind(problems[0])):
-                        return
-            if name in DEALLOCATING and frame.args:
-                pointer = frame.args[0]
-                if (policy.guard_free and pointer
-                        and proc.heap.allocation_size(pointer) is None):
-                    if violation_found(frame,
-                                       _invalid_free_reason(pointer),
-                                       "invalid_free"):
-                        return
-                state.size_table.pop(pointer, None)
-            if policy.safe_gets and name == "gets":
-                _safe_gets(frame, state, emit, violation_found)
-                return
-            if (policy.reject_percent_n or policy.check_format_args) \
-                    and decl is not None:
-                detail = _format_check(proc, decl, frame, policy)
-                if detail is not None:
-                    violation_found(frame, detail, "format")
-                    return
-            if policy.enforce_bounds and checker is not None:
-                for violation in checker.validate_all(proc, frame.args,
-                                                      frame.varargs):
-                    if _is_write_violation(decl, violation):
-                        violation_found(
-                            frame,
-                            f"write overflow: {violation.detail} "
-                            f"(param {violation.param})",
-                            "bounds",
-                        )
-                        return
-
-        def postfix(frame: CallFrame) -> None:
-            if name in ALLOCATING and frame.ret:
-                size = _allocation_size(name, frame)
-                if size is not None:
-                    state.size_table[frame.ret] = size
-
-        return RuntimeHooks(generator=self.name, prefix=prefix,
-                            postfix=postfix)
-
 
 def security_view(meta):
     """Role-derived a-priori write checks, for either checker IR.
@@ -452,22 +373,6 @@ def _security_decl(decl: FunctionDecl) -> FunctionDecl:
     return hardened
 
 
-def _is_write_violation(decl: Optional[FunctionDecl],
-                        violation: CheckViolation) -> bool:
-    if violation.check == "size_bounded":
-        # over-long counts against writable buffers are write overflows;
-        # read overruns are a robustness matter, not the security policy's
-        return "(write)" in violation.detail
-    if violation.check not in WRITE_CHECKS:
-        return False
-    if decl is None:
-        return True
-    for param in decl.params:
-        if param.name == violation.param:
-            return param.role in WRITE_ROLES or not param.role
-    return False
-
-
 def _invalid_free_reason(pointer: int) -> str:
     return (f"free of {pointer:#x}, which is not a live allocation "
             f"(double free or invalid pointer)")
@@ -477,24 +382,6 @@ def _format_arity_reason(consumed: int, supplied: int) -> str:
     return (f"format string consumes {consumed} argument"
             f"{'s' if consumed != 1 else ''} but the call supplied "
             f"{supplied}")
-
-
-def _format_check(proc: SimProcess, decl: FunctionDecl,
-                  frame: CallFrame, policy: SecurityPolicy) -> Optional[str]:
-    for index, param in enumerate(decl.params):
-        if param.role != "format":
-            continue
-        if index >= len(frame.args):
-            continue
-        analysis = analyse_format(proc, frame.args[index])
-        if analysis is None:
-            return "format string is not a valid string"
-        consumed, uses_n = analysis
-        if policy.reject_percent_n and uses_n:
-            return "format string contains %n"
-        if policy.check_format_args and consumed > len(frame.varargs):
-            return _format_arity_reason(consumed, len(frame.varargs))
-    return None
 
 
 def _allocation_size(name: str, frame: CallFrame) -> Optional[int]:

@@ -9,6 +9,9 @@ for a latency SLO), and a rung on the
 
     fused -> table -> interpreted -> shed
 
+(``interpreted`` is per-call dispatch through the compiled wrappers in
+the PLT, with every fused lane bypassed.)
+
 Violations the recovery policy marks ``degrade`` are contained to
 error returns *and* fed to the breaker through the process's
 ``degrade_hook``; deadline misses and crashes feed it too.  A crash is
@@ -168,7 +171,6 @@ class ResilientSession:
         self,
         app,
         preset: str = "security",
-        backend: str = "compiled",
         fused: bool = True,
         registry=None,
         api=None,
@@ -180,7 +182,7 @@ class ResilientSession:
             policy = SecurityPolicy(recovery=degrading_policy())
         self.slo = slo or ServingSLO()
         self.session = ServingSession(
-            app, preset=preset, backend=backend, fused=fused,
+            app, preset=preset, fused=fused,
             registry=registry, api=api, policy=policy,
             process=SimProcess(heap_canaries=True),
         )
@@ -297,15 +299,14 @@ class ResilientSession:
 
 def run_unsupervised(app, schedule: StormSchedule,
                      requests: Sequence[Request],
-                     preset: str = "security",
-                     backend: str = "compiled", fused: bool = True,
+                     preset: str = "security", fused: bool = True,
                      registry=None, api=None,
                      gen=None) -> StormReport:
     """The no-ladder baseline: same storm, bare session, no second
     chances.  The first fault the preset cannot contain kills the
     service; every later request is recorded ``dead`` (unanswered)."""
     session = ServingSession(
-        app, preset=preset, backend=backend, fused=fused,
+        app, preset=preset, fused=fused,
         registry=registry, api=api,
         process=SimProcess(heap_canaries=True),
     )

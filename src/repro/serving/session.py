@@ -8,8 +8,8 @@ performs an app's ``setup`` once, then serves one request per
 snapshot, trace arming), and count the outcome.
 
 The fusion pre-pass (:meth:`record_traces`) runs representative
-requests through a *scratch twin* of the session — same app, preset,
-backend, and warmup, but unfused — so recording never perturbs the
+requests through a *scratch twin* of the session — same app, preset
+and warmup, but unfused — so recording never perturbs the
 serving session's own state.
 """
 
@@ -96,7 +96,6 @@ class ServingSession:
         self,
         app: ServerApp,
         preset: str = "robustness",
-        backend: str = "compiled",
         telemetry: bool = False,
         fused: bool = True,
         check_memo: bool = True,
@@ -117,7 +116,6 @@ class ServingSession:
             )
         self.app = app
         self.preset = preset
-        self.backend = backend
         self.telemetry = telemetry
         self.fused = fused
         self.check_memo = check_memo
@@ -138,7 +136,7 @@ class ServingSession:
                     policy if policy is not None else config.policy()),
             )
             self.built = factory.preload(
-                self.linker, config.spec, backend=backend,
+                self.linker, config.spec,
                 telemetry=telemetry, resolver=resolver,
             )
         base = self.linker.load(app.needed, app.imports, self.process)
@@ -239,7 +237,7 @@ class ServingSession:
     def twin(self, fused: bool = False) -> "ServingSession":
         """A fresh session with the same configuration (fresh process)."""
         return ServingSession(
-            self.app, preset=self.preset, backend=self.backend,
+            self.app, preset=self.preset,
             telemetry=self.telemetry, fused=fused,
             check_memo=self.check_memo,
             resolver=self.resolver, registry=self.registry, api=self.api,

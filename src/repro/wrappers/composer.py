@@ -1,8 +1,9 @@
 """Wrapper-library composition: micro-generators → preloadable library.
 
-``WrapperFactory.build_library`` assembles one executable wrapper per
-library function from a list of micro-generators and packages them as a
-:class:`~repro.linker.SharedLibrary` ready for ``LD_PRELOAD`` in the
+``WrapperFactory.build_library`` compiles one executable wrapper per
+library function from a list of micro-generators
+(:func:`~repro.wrappers.fastpath.compile_wrapper`) and packages them as
+a :class:`~repro.linker.SharedLibrary` ready for ``LD_PRELOAD`` in the
 simulated linker.  Different generator lists yield the different wrapper
 types of Fig. 1; the same factory also drives the C text backend so both
 renderings come from one composition.
@@ -22,15 +23,8 @@ from repro.wrappers.microgen import (
     GeneratorRegistry,
     MicroGenerator,
     WrapperUnit,
-    compose_wrapper,
 )
 from repro.wrappers.state import WrapperState
-
-#: wrapper composition backends: "compiled" builds one specialized
-#: closure per function at build time (the fast path); "interpreted"
-#: keeps the original per-call hook loop, preserved as the reference
-#: implementation for differential tests and baseline benchmarks
-BACKENDS = ("compiled", "interpreted")
 
 
 @dataclass
@@ -150,7 +144,6 @@ class WrapperFactory:
                   linker: DynamicLinker,
                   library: SharedLibrary,
                   bus: Optional[EventBus] = None,
-                  fastpath: bool = True,
                   resolver: Optional[ResolverTable] = None) -> WrapperUnit:
         function = self.registry[function_name]
         decl = None
@@ -167,7 +160,6 @@ class WrapperFactory:
             state=state,
             resolve_next=resolve_next,
             bus=bus,
-            fastpath=fastpath,
             plan=plan,
         )
 
@@ -180,7 +172,6 @@ class WrapperFactory:
         state: Optional[WrapperState] = None,
         sinks: Optional[Sequence[Sink]] = None,
         bus_capacity: int = 256,
-        backend: str = "compiled",
         telemetry: bool = True,
         resolver: Optional[ResolverTable] = None,
     ) -> BuiltWrapper:
@@ -193,24 +184,17 @@ class WrapperFactory:
         the Fig. 5 state keeps accumulating) plus any extra ``sinks``
         (JSONL traces, metrics, collection shipping).
 
-        ``backend`` selects how hooks become wrappers: ``"compiled"``
-        (default) specializes each function into one fast-path closure at
-        build time; ``"interpreted"`` keeps the per-call hook loop (the
-        reference path for differential tests).  ``telemetry=False``
-        builds the bus with no sinks at all — compiled wrappers then skip
-        telemetry-only hooks and event construction entirely (subscribing
-        a sink later re-enables them); ``BuiltWrapper.state`` stays empty.
+        Each function's hooks are specialized into one compiled closure
+        at build time.  ``telemetry=False`` builds the bus with no sinks
+        at all — the wrappers then skip telemetry-only hooks and event
+        construction entirely (subscribing a sink later re-enables them);
+        ``BuiltWrapper.state`` stays empty.
 
         ``resolver`` shares a :class:`ResolverTable` across builds so the
         per-wrapper ``dlsym(RTLD_NEXT)`` walk happens once per name per
         table instead of once per build (serving keeps one table per
         ``(app, preset)`` pair).
         """
-        if backend not in BACKENDS:
-            raise ValueError(
-                f"unknown wrapper backend {backend!r}; known: "
-                + ", ".join(BACKENDS)
-            )
         generator_list = self.resolve_spec(spec)
         state = state if state is not None else WrapperState()
         soname = soname or f"libhealers_{spec.name}.so"
@@ -222,14 +206,12 @@ class WrapperFactory:
         )
         built = BuiltWrapper(library=library, state=state, spec=spec,
                              bus=bus)
-        compose = compile_wrapper if backend == "compiled" else compose_wrapper
-        fastpath = backend == "compiled"
         for name in names:
             if name not in self.registry:
                 raise KeyError(f"cannot wrap unknown function {name!r}")
             unit = self.make_unit(name, state, linker, library, bus=bus,
-                                  fastpath=fastpath, resolver=resolver)
-            impl = compose(unit, generator_list)
+                                  resolver=resolver)
+            impl = compile_wrapper(unit, generator_list)
             library.define(name, impl, prototype=unit.prototype)
             built.functions.append(name)
         return built

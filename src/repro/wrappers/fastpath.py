@@ -2,10 +2,10 @@
 
 HEALERS generates wrapper *code* ahead of time precisely so the
 interposition layer adds near-zero per-call cost (Section 3's overhead
-claim).  The interpreted Python backend (:func:`compose_wrapper`) instead
-loops over :class:`RuntimeHooks` on every intercepted call.  This module
-mirrors the paper's generate-then-run design at ``build_library`` time:
-``compile_wrapper`` flattens a function's micro-generator hook chain
+claim).  This module mirrors that generate-then-run design at
+``build_library`` time, and is the only way hooks become wrappers (a
+per-call loop over :class:`RuntimeHooks` survives only as the tests'
+reference oracle): ``compile_wrapper`` flattens a function's micro-generator hook chain
 (prefixes in generator order, postfixes reversed) into **one specialized
 closure**, rendered as source text and compiled once per structural
 shape.  Specializations applied:
@@ -196,9 +196,9 @@ def compile_wrapper(unit: WrapperUnit,
                     generators: Sequence[MicroGenerator]) -> Callable:
     """Compose micro-generator hooks into one compiled fast-path closure.
 
-    Drop-in replacement for :func:`~repro.wrappers.microgen.compose_wrapper`
-    with identical observable behaviour while a sink is attached to the
-    unit's bus; the returned callable has the same ``(process, *args)``
+    Observably identical to running the hooks in a per-call loop
+    (prefixes in order, postfixes reversed) while a sink is attached to
+    the unit's bus; the returned callable has the ``(process, *args)``
     signature, so it installs directly into a preloaded SharedLibrary.
     """
     hooks = [g.runtime_hooks(unit) for g in generators]
@@ -337,8 +337,9 @@ def fused_entry(impl: Callable, live: bool) -> Callable:
     """The leanest callable equivalent to ``impl`` in the given mode.
 
     ``impl`` is whatever the linker resolved a name to: a compiled
-    wrapper (carrying :class:`FastParts`), an interpreted wrapper, or a
-    bare libc implementation.  The returned callable has the wrapper
+    wrapper (carrying :class:`FastParts`) or any other callable — a bare
+    libc implementation, or a wrapper composed without parts — which is
+    returned as is.  The returned callable has the wrapper
     signature ``(process, *args)`` and byte-identical behaviour while
     the bus's telemetry mode matches ``live`` — the caller re-derives
     entries on a mode flip (see :meth:`FusedRuntime.refresh`).

@@ -78,7 +78,7 @@ class PrototypeGen(MicroGenerator):
             postfix=f"{ret_stmt}}}\n",
         )
 
-    # the runtime backend gets its structure from compose_wrapper itself
+    # the runtime wrapper gets its structure from compile_wrapper itself
 
 
 class CallerGen(MicroGenerator):
@@ -320,9 +320,8 @@ class ArgCheckGen(MicroGenerator):
         source = unit.plan if unit.plan is not None else unit.decl
         if source is None:
             return RuntimeHooks(generator=self.name)
-        checker = ArgumentChecker(source, unit.prototype,
-                                  compiled=unit.fastpath)
-        if unit.fastpath and not checker.has_checks:
+        checker = ArgumentChecker(source, unit.prototype)
+        if not checker.has_checks:
             # nothing can ever fire: elide the per-call prefix entirely
             return RuntimeHooks(generator=self.name)
         emit = unit.bus.emit
@@ -350,21 +349,9 @@ class ArgCheckGen(MicroGenerator):
                              else Errno.EINVAL)
             return contained
 
-        if unit.fastpath:
-            # frame-free form for the compiled backend: the plan loop
-            # behind the verdict memo, containing through ``violate``
-            guard = checker.memoized(violate)
-        else:
-            params = {(param.name, param.check): param
-                      for param in checker.ordered}
-
-            def guard(process, args, varargs):
-                violation = checker.validate(process, args, varargs)
-                if violation is None:
-                    return None
-                return violate(process,
-                               params[violation.param, violation.check],
-                               violation.detail)
+        # frame-free form: the plan loop behind the verdict memo,
+        # containing through ``violate``
+        guard = checker.memoized(violate)
 
         def check(frame: CallFrame) -> None:
             if frame.skip_call:
@@ -374,8 +361,7 @@ class ArgCheckGen(MicroGenerator):
                 frame.skip_call = True
                 frame.ret = refused[0]
 
-        return RuntimeHooks(generator=self.name, prefix=check,
-                            guard=guard if unit.fastpath else None)
+        return RuntimeHooks(generator=self.name, prefix=check, guard=guard)
 
 
 class LogCallGen(MicroGenerator):

@@ -11,8 +11,8 @@ A micro-generator here produces *two* renderings of its feature:
 * :meth:`MicroGenerator.c_fragment` — the C source text fragments, used by
   the C backend to emit wrappers byte-for-byte in the style of Fig. 3;
 * :meth:`MicroGenerator.runtime_hooks` — executable prefix/postfix hooks,
-  composed by the Python backend into a wrapper that actually interposes
-  in the simulated linker.
+  compiled by :func:`~repro.wrappers.fastpath.compile_wrapper` into a
+  wrapper that actually interposes in the simulated linker.
 
 Composition semantics match the figure: prefix fragments run in generator
 order, postfix fragments in *reverse* order, so generators nest and the
@@ -93,9 +93,8 @@ Hook = Callable[[CallFrame], None]
 class RuntimeHooks:
     """Executable rendering of one micro-generator for one function.
 
-    The extra fields are build-time metadata the fast-path compiler
-    (:mod:`repro.wrappers.fastpath`) specializes on; the interpreted
-    composer ignores them.
+    The extra fields are build-time metadata the wrapper compiler
+    (:mod:`repro.wrappers.fastpath`) specializes on.
     """
 
     generator: str
@@ -121,9 +120,9 @@ class RuntimeHooks:
     #: resolution: ``wrap_call(target) -> target'``.  Lets a generator
     #: interpose on the intercepted call itself (the retry generator's
     #: bounded re-execution) without forfeiting the compiled wrapper's
-    #: direct-tail-call or frame-free guard forms.  Fast-path only; the
-    #: interpreted composer expects such generators to supply an
-    #: equivalent prefix/postfix rendering instead.
+    #: direct-tail-call or frame-free guard forms.  A plain per-call hook
+    #: loop would drop it, so the tests' reference composer carries its
+    #: own prefix/postfix rendering of every generator that offers one.
     wrap_call: Optional[Callable[[Callable], Callable]] = None
 
 
@@ -139,10 +138,6 @@ class WrapperUnit:
     #: the library's telemetry bus; hooks publish events here instead of
     #: mutating ``state`` (a StateSink rebuilds it at flush time)
     bus: Optional[EventBus] = None
-    #: False selects the interpreted reference path: generators build
-    #: their original per-call hooks and checkers instead of the
-    #: build-time-specialized fast path (kept for differential tests)
-    fastpath: bool = True
     #: the introspection-derived check plan, when the declaration
     #: document carries one; check-consuming generators prefer it over
     #: the hand-tuned ``decl`` tables (full-coverage checks)
@@ -208,36 +203,3 @@ class GeneratorRegistry:
     def __contains__(self, name: str) -> bool:
         return name in self._generators
 
-
-def compose_wrapper(unit: WrapperUnit,
-                    generators: Sequence[MicroGenerator]) -> Callable:
-    """Assemble an executable wrapper from micro-generator hooks.
-
-    Prefixes run in order, postfixes in reverse order; the returned
-    callable has the same (process, *args) signature as the wrapped
-    symbol, so it installs directly into a preloaded SharedLibrary.
-    """
-    hooks = [g.runtime_hooks(unit) for g in generators]
-    prefix_hooks = [h.prefix for h in hooks if h.prefix is not None]
-    postfix_hooks = [h.postfix for h in reversed(hooks) if h.postfix is not None]
-    fixed_arity = len(unit.prototype.params)
-
-    def wrapper(process: SimProcess, *args: Any) -> Any:
-        frame = CallFrame(
-            process=process,
-            function=unit.name,
-            args=args[:fixed_arity],
-            varargs=args[fixed_arity:],
-        )
-        for hook in prefix_hooks:
-            hook(frame)
-        for hook in postfix_hooks:
-            hook(frame)
-        return frame.ret
-
-    wrapper.__name__ = f"wrapped_{unit.name}"
-    wrapper.__doc__ = (
-        f"Generated wrapper for {unit.name} "
-        f"({', '.join(g.name for g in generators)})."
-    )
-    return wrapper

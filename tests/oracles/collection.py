@@ -1,14 +1,37 @@
 """The legacy collection server: the fabric's tests and soak benchmark
-compare :class:`~repro.collection.fabric.IngestServer` against it."""
+compare :class:`~repro.collection.fabric.IngestServer` against it.  Plus
+the full rescans of a :class:`CollectionStore` its incremental indexes
+must agree with."""
 
 import socket
 import struct
 import threading
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.collection.server import (
     BATCH_MAGIC, MAX_BATCH_DOCUMENTS, MAX_DOCUMENT_BYTES, CollectionStore,
+    StoredDocument,
 )
+
+
+def rescan_by_application(store: CollectionStore,
+                          application: str) -> List[StoredDocument]:
+    """``store.by_application`` by a scan of every stored document."""
+    with store._lock:
+        return [
+            d for d in store.documents
+            if d.document.application == application
+        ]
+
+
+def rescan_aggregate_calls(store: CollectionStore) -> Dict[str, int]:
+    """``store.aggregate_calls`` by a scan of every stored document."""
+    totals: Dict[str, int] = {}
+    with store._lock:
+        for stored in store.documents:
+            for name, profile in stored.document.functions.items():
+                totals[name] = totals.get(name, 0) + profile.calls
+    return totals
 
 
 class CollectionServer:

@@ -30,6 +30,7 @@ from repro.security.corpus import (
 )
 from repro.wrappers import WrapperFactory
 from repro.wrappers.presets import default_generator_registry
+from tests.oracles.wrappers import interpreted_wrappers
 
 ATTACK_NAMES = [attack.name for attack in CORPUS]
 PRESET_NAMES = list(PRESET_CONFIGS)
@@ -110,10 +111,10 @@ def test_backends_agree_on_every_verdict(attack_name, registry,
     for preset_name, preset in PRESET_CONFIGS.items():
         if preset.spec is None:
             continue
-        compiled = run_attack(attack, preset, registry, api_document,
-                              backend="compiled")
-        interpreted = run_attack(attack, preset, registry, api_document,
-                                 backend="interpreted")
+        compiled = run_attack(attack, preset, registry, api_document)
+        with interpreted_wrappers():
+            interpreted = run_attack(attack, preset, registry,
+                                     api_document)
         assert compiled.verdict == interpreted.verdict, (
             attack_name, preset_name)
         assert compiled.recoveries == interpreted.recoveries

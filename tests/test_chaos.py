@@ -30,6 +30,7 @@ from repro.telemetry import (
     EventBus,
     MetricsSink,
 )
+from tests.oracles.wrappers import wrapper_backend
 
 
 @pytest.fixture(scope="module")
@@ -146,9 +147,10 @@ class TestHarnessDeterminism:
         harness = ChaosHarness(
             registry,
             policy=policy or SecurityPolicy(recovery=self_healing_policy()),
-            backend=backend, seed=42, rate=0.05,
+            seed=42, rate=0.05,
         )
-        return harness.run(trials=2, apps=["wordcount", "msgformat"])
+        with wrapper_backend(backend):
+            return harness.run(trials=2, apps=["wordcount", "msgformat"])
 
     def test_same_seed_same_everything(self, registry):
         first = self.run_once(registry)

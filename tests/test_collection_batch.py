@@ -15,7 +15,9 @@ from repro.collection import (
 from repro.profiling import ProfileDocument
 from repro.telemetry import CollectionSink
 from repro.wrappers.state import WrapperState
-from tests.oracles import CollectionServer
+from tests.oracles import (
+    CollectionServer, rescan_aggregate_calls, rescan_by_application,
+)
 
 
 def _document_xml(application="app", calls=3):
@@ -235,11 +237,11 @@ class TestStoreIndexes:
         store = self._populated_store()
         for application in store.applications():
             assert (store.by_application(application)
-                    == store._rescan_by_application(application))
+                    == rescan_by_application(store, application))
 
     def test_aggregate_calls_matches_rescan(self):
         store = self._populated_store()
-        assert store.aggregate_calls() == store._rescan_aggregate_calls()
+        assert store.aggregate_calls() == rescan_aggregate_calls(store)
         assert store.aggregate_calls()["strlen"] == sum(range(1, 13))
 
     def test_indexes_track_submit_many(self):
@@ -249,9 +251,9 @@ class TestStoreIndexes:
                            _document_xml("a", calls=5)])
         assert [d.document.application
                 for d in store.by_application("a")] == ["a", "a"]
-        assert store.aggregate_calls() == store._rescan_aggregate_calls()
+        assert store.aggregate_calls() == rescan_aggregate_calls(store)
 
     def test_unknown_application_is_empty(self):
         store = self._populated_store()
         assert store.by_application("nope") == []
-        assert store._rescan_by_application("nope") == []
+        assert rescan_by_application(store, "nope") == []

@@ -33,9 +33,9 @@ from repro.robust import (
     derive_check_plans,
     uncovered,
 )
-from repro.robust.checks import ArgumentChecker
 from repro.runtime import SimProcess
 from repro.wrappers import PRESETS, WrapperFactory
+from tests.oracles.wrappers import InterpretedChecker, wrapper_backend
 
 #: the curated subset the hand-tuned benchmarks exercise (see
 #: benchmarks/conftest.py) — the parity surface
@@ -253,10 +253,8 @@ class TestHandTunedParity:
         }
         for name, arglists in cases.items():
             proto = registry[name].prototype
-            left = ArgumentChecker(hand_tuned.functions[name], proto,
-                                   compiled=False)
-            right = ArgumentChecker(introspected.plan_for(name), proto,
-                                    compiled=False)
+            left = InterpretedChecker(hand_tuned.functions[name], proto)
+            right = InterpretedChecker(introspected.plan_for(name), proto)
             for args in arglists:
                 assert (left.validate_all(proc, args, ())
                         == right.validate_all(proc, args, ())), (name, args)
@@ -297,7 +295,8 @@ def _build(registry, document, backend):
     linker = DynamicLinker()
     linker.add_library(SharedLibrary.from_registry(registry))
     factory = WrapperFactory(registry, document)
-    built = factory.preload(linker, PRESETS["robustness"], backend=backend)
+    with wrapper_backend(backend):
+        built = factory.preload(linker, PRESETS["robustness"])
     proc = SimProcess()
     pool = [
         0,
@@ -416,12 +415,12 @@ class TestFullCoverageContainment:
 
         attack = attack_by_name(attack_name)
         preset = PRESET_CONFIGS["robustness"]
-        legacy = run_attack(
-            attack, preset, registry,
-            RobustAPIDocument.build(registry, manpages), backend=backend)
-        assert legacy.verdict == "escaped"
-        full = run_attack(
-            attack, preset, registry,
-            RobustAPIDocument.build_introspected(registry, manpages),
-            backend=backend)
+        with wrapper_backend(backend):
+            legacy = run_attack(
+                attack, preset, registry,
+                RobustAPIDocument.build(registry, manpages))
+            assert legacy.verdict == "escaped"
+            full = run_attack(
+                attack, preset, registry,
+                RobustAPIDocument.build_introspected(registry, manpages))
         assert full.verdict == "contained"

@@ -16,7 +16,7 @@ import itertools
 import types
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulatorError
@@ -281,6 +281,11 @@ class TestLibcParity:
         span=st.integers(0, 90),
         value=st.integers(0, 255),
     )
+    # pinned: a strchr scan that meets neither its target nor a
+    # terminator before the hole, so the fault replay's address is
+    # compared on every run (random scenes rarely draw one)
+    @example(fuel=None, follower=None, payload=b"A" * 16, name="strchr",
+             tail=8, span=0, value=ord("z"))
     @COMMON
     def test_string_family(self, fuel, follower, payload, name, tail,
                            span, value):

@@ -34,6 +34,7 @@ from repro.security.policy import SecurityPolicy
 from repro.telemetry import MetricsSink
 from repro.wrappers import RECOVERY, WrapperFactory
 from repro.wrappers.presets import default_generator_registry
+from tests.oracles.wrappers import wrapper_backend
 
 COMMON = settings(max_examples=60,
                   suppress_health_check=[HealthCheck.too_slow],
@@ -59,8 +60,8 @@ def recovery_linker(registry, api_document, policy, backend="compiled"):
         registry, api_document,
         generators=default_generator_registry(security),
     )
-    built = factory.preload(linker, RECOVERY, backend=backend,
-                            sinks=[metrics])
+    with wrapper_backend(backend):
+        built = factory.preload(linker, RECOVERY, sinks=[metrics])
     return linker, built, metrics
 
 

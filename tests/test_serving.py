@@ -24,6 +24,7 @@ from repro.libc import standard_registry
 from repro.manpages import load_corpus
 from repro.serving import LoadGenerator, Request, ServingSession
 from repro.wrappers.presets import full_coverage_api
+from tests.oracles.wrappers import wrapper_backend
 
 APP_NAMES = ["kvd", "httpd", "tmpld"]
 APPS = {app.name: app for app in SERVER_APPS}
@@ -77,12 +78,14 @@ def serving_api(registry):
 
 def build_session(app, preset, registry, api, *, fused,
                   backend="compiled", telemetry=False, fuel=None):
-    session = ServingSession(app, preset=preset, backend=backend,
-                             telemetry=telemetry, fused=fused,
-                             registry=registry, api=api, fuel=fuel)
-    gen = LoadGenerator(app.name, mix="hot", seed=3)
-    if fused:
-        session.record_traces(gen.warmup, gen.samples)
+    # the fusion pre-pass builds a scratch twin: keep it on the lane too
+    with wrapper_backend(backend):
+        session = ServingSession(app, preset=preset, telemetry=telemetry,
+                                 fused=fused, registry=registry, api=api,
+                                 fuel=fuel)
+        gen = LoadGenerator(app.name, mix="hot", seed=3)
+        if fused:
+            session.record_traces(gen.warmup, gen.samples)
     session.serve_all(gen.warmup)
     return session
 
