@@ -40,7 +40,6 @@ from repro.security.corpus import (
     CORPUS,
     PRESET_CONFIGS,
     Attack,
-    PresetConfig,
     run_attack,
 )
 from repro.telemetry import AttackEvent, EscapeEvent, Sink

@@ -309,4 +309,4 @@ class ProbeContext:
 
 def _byte_comparator(proc: SimProcess, left: int, right: int) -> int:
     """Golden qsort/bsearch comparator: compare first bytes."""
-    return proc.space.read(left, 1)[0] - proc.space.read(right, 1)[0]
+    return proc.space.read_u8(left) - proc.space.read_u8(right)

@@ -6,7 +6,7 @@ that it satisfies (``max_rank``).  Satisfaction is upward closed, so a
 value participates in the verdict of every rung at or below its
 ``max_rank`` (see :mod:`repro.robust.derivation`).
 
-Values are materialised lazily against the probe's fresh process via a
+Values are materialised lazily against the probe's pristine process via a
 :class:`~repro.ftypes.context.ProbeContext`, because pointers only mean
 something inside one process's address space.
 """

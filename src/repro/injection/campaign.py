@@ -2,9 +2,14 @@
 
 For every function in a library the campaign builds a golden argument
 vector, then varies one parameter at a time over its test-value
-dictionary, running each probe in a fresh sandboxed process and
+dictionary, running each probe in a pristine sandboxed process and
 classifying the outcome on the CRASH scale.  The per-(parameter, value)
 verdicts feed the robust-API derivation in :mod:`repro.robust`.
+
+Each executing thread keeps one probe process and restores it to
+pristine before every probe, the fork-server form of Ballista's fresh
+child per test case; when the restore cannot prove the process
+pristine, a new one is built.
 
 A probe that returns normally is additionally screened by a post-probe
 heap-consistency walk; a PASS with corrupted heap metadata is reclassified
@@ -14,6 +19,7 @@ write does without faulting.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -157,6 +163,8 @@ class Campaign:
         self.interposer = interposer
         self.observer = observer
         self.sandbox = Sandbox()
+        #: per-thread recycled probe process (see :meth:`probe_process`)
+        self._local = threading.local()
 
     # ------------------------------------------------------------------
     # probing
@@ -216,11 +224,26 @@ class Campaign:
         if notify and self.observer is not None:
             self.observer(execution.probe, execution.result)
 
+    def probe_process(self) -> SimProcess:
+        """The calling thread's probe process, pristine.
+
+        Every probe path takes its process here.  The thread's previous
+        process is restored when :meth:`SimProcess.restore` can prove the
+        result equals ``SimProcess(fuel=self.fuel)``; otherwise a new one
+        replaces it.
+        """
+        local = self._local
+        process = getattr(local, "process", None)
+        if (process is None or not process.restore()
+                or process.fuel != self.fuel):
+            process = local.process = SimProcess(fuel=self.fuel)
+        return process
+
     def execute_probe(self, probe: Probe, value: TestValue) -> ProbeExecution:
-        """Run one probe in a fresh process and classify the outcome."""
+        """Run one probe in a pristine process and classify the outcome."""
         function = self.registry[probe.function]
         manpage = self.manpages.get(probe.function)
-        process = SimProcess(fuel=self.fuel)
+        process = self.probe_process()
         ctx = ProbeContext(process, function.prototype, manpage)
         param = function.prototype.params[probe.param_index]
         try:

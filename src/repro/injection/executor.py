@@ -7,13 +7,15 @@ work units and runs them across a :mod:`concurrent.futures` pool:
 
 * ``serial``  — in-process, no pool; the reference backend.
 * ``thread``  — a :class:`~concurrent.futures.ThreadPoolExecutor`
-  sharing the parent's campaign (every probe runs against its own fresh
-  :class:`~repro.runtime.SimProcess`, so workers never share mutable
-  simulator state).
+  sharing the parent's campaign (each thread restores its own
+  :class:`~repro.runtime.SimProcess` to pristine before every probe,
+  building a new one when restore cannot prove it pristine, so workers
+  never share mutable simulator state).
 * ``process`` — a :class:`~concurrent.futures.ProcessPoolExecutor`;
-  each worker rebuilds the campaign from a picklable registry factory
-  and ships verdicts back in portable form (real parallelism, the
-  fork-per-probe harness of the paper scaled to fork-per-worker).
+  each worker rebuilds the campaign from a picklable registry factory,
+  recycles its own probe process the same way, and ships verdicts back
+  in portable form (real parallelism, the fork-per-probe harness of the
+  paper as a fork server per worker).
 
 Whatever the backend, records are reassembled in probe-plan order, so a
 ``--jobs 4`` run produces byte-identical store XML to a serial run.

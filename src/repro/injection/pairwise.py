@@ -27,7 +27,6 @@ from repro.ftypes import ProbeContext, TestValue, test_values_for
 from repro.injection.campaign import Campaign
 from repro.libc.registry import LibFunction
 from repro.manpages.model import ManPage
-from repro.runtime import SimProcess
 
 
 @dataclass(frozen=True)
@@ -143,7 +142,7 @@ class PairwiseCampaign(Campaign):
         first: Tuple[int, TestValue],
         second: Tuple[int, TestValue],
     ) -> Optional[Outcome]:
-        process = SimProcess(fuel=self.fuel)
+        process = self.probe_process()
         ctx = ProbeContext(process, function.prototype, manpage)
         try:
             ctx.build_goldens()

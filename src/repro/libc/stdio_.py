@@ -62,10 +62,7 @@ def stream_index_of(proc: SimProcess, file_ptr: int) -> int:
 
 def std_stream(proc: SimProcess, which: int) -> int:
     """FILE* for stdin/stdout/stderr, created lazily per process."""
-    cache = getattr(proc, "_std_files", None)
-    if cache is None:
-        cache = {}
-        proc._std_files = cache
+    cache = proc._std_files
     if which not in cache:
         cache[which] = make_file_struct(proc, which)
     return cache[which]

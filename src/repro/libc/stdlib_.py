@@ -232,13 +232,36 @@ def register(reg: LibcRegistry) -> None:
         if scratch == 0:
             proc.errno = Errno.ENOMEM
             return 0
+        # both scratch elements go through one span resolved here; a
+        # comparator that maps or protects memory moves the epoch and
+        # sends the rest of the sort back through ``space.write``
+        space = proc.space
+        mapping = space.find_mapping(scratch) if size > 0 else None
+        epoch = -1
+        if (mapping is not None and mapping.perm_bits & _PERM_WRITE
+                and scratch + 2 * size <= mapping.end):
+            epoch = space.epoch
+            data = mapping.data
+            first = scratch - mapping.start
+            second = first + size
+            end = scratch + 2 * size
         try:
             import functools
 
             def cmp(a: bytes, b: bytes) -> int:
                 proc.consume()
-                proc.space.write(scratch, a)
-                proc.space.write(scratch + size, b)
+                if space.epoch == epoch:
+                    # the two writes' stamp and watermark, in one step
+                    space.mutations += 2
+                    if scratch < space.dirty_lo:
+                        space.dirty_lo = scratch
+                    if end > space.dirty_hi:
+                        space.dirty_hi = end
+                    data[first:second] = a
+                    data[second:second + size] = b
+                else:
+                    space.write(scratch, a)
+                    space.write(scratch + size, b)
                 return comparator(proc, scratch, scratch + size)
 
             elements.sort(key=functools.cmp_to_key(cmp))

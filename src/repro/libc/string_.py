@@ -487,7 +487,7 @@ def _strtok_impl(proc: SimProcess, str_: int, delim: int, save_ptr) -> int:
     read from and written through ``save_ptr`` with no validation.
     """
     if save_ptr is None:
-        cursor = str_ if str_ != 0 else getattr(proc, "_strtok_state", 0)
+        cursor = str_ if str_ != 0 else proc._strtok_state
     else:
         cursor = str_ if str_ != 0 else proc.space.read_ptr(save_ptr)
     if cursor == 0:

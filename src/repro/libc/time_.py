@@ -24,10 +24,7 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from repro.libc.registry import LibcRegistry, libc_function, null_on_error
-from repro.runtime.process import SimProcess
-
-#: 2003-01-01 00:00:00 UTC — the paper's publication year
-SIM_EPOCH = 1041379200
+from repro.runtime.process import SIM_EPOCH, SimProcess
 
 #: struct tm layout: nine consecutive i32 fields, as on 32-bit glibc
 TM_FIELDS = ("tm_sec", "tm_min", "tm_hour", "tm_mday", "tm_mon",
@@ -110,10 +107,7 @@ def _static_buffer(proc: SimProcess, key: str, size: int) -> int:
     the same aliasing semantics while making overflows observable to the
     allocator's consistency checks.
     """
-    cache = getattr(proc, "_time_statics", None)
-    if cache is None:
-        cache = {}
-        proc._time_statics = cache
+    cache = proc._time_statics
     if key not in cache:
         cache[key] = proc.heap.malloc(size)
     return cache[key]
@@ -142,7 +136,7 @@ def register(reg: LibcRegistry) -> None:
     def time_(proc: SimProcess, tloc: int) -> int:
         """Simulated wall clock; also stored through tloc when non-NULL."""
         proc.consume()
-        now = getattr(proc, "sim_time", SIM_EPOCH)
+        now = proc.sim_time
         proc.sim_time = now + 1
         if tloc != 0:
             proc.space.write_u64(tloc, now)

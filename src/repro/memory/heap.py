@@ -123,11 +123,20 @@ class HeapAllocator:
         self.space = space
         self.mapping: Mapping = space.map_region(size, Perm.RW, name)
         self.canaries = canaries
-        self.stats = HeapStats()
         #: bumped whenever the live-allocation set can change (malloc,
         #: free, quarantine); pairs with ``AddressSpace.mutations`` so
         #: extent/terminator memos know when their bounds went stale
         self.mutations = 0
+        self.reset()
+
+    def reset(self) -> None:
+        """Forget every chunk and statistic: the state of an empty heap.
+
+        The mapping's bytes are the caller's to zero; ``mutations``
+        keeps counting up so no memo keyed on it survives.
+        """
+        self.mutations += 1
+        self.stats = HeapStats()
         #: top of the allocated area; everything above is wilderness
         self._brk = self.mapping.start
         #: free chunks by header address -> total size (mirror of in-memory

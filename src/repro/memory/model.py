@@ -25,7 +25,7 @@ import enum
 import struct
 import sys
 from array import array
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import BusError, SegmentationFault
 
@@ -61,6 +61,11 @@ def page_align(value: int) -> int:
     """Round ``value`` up to the next page boundary."""
     return (value + PAGE_SIZE - 1) & ~(PAGE_SIZE - 1)
 
+
+#: zero source for :meth:`AddressSpace.reset_layout`: copying from one
+#: long-lived buffer is ~10x faster than from a new ``bytes(n)``, whose
+#: pages the allocator maps in afresh on every call
+_ZEROS = memoryview(bytes(1 << 20))
 
 #: int values of the common permissions, for the hot loops
 _PERM_READ = int(Perm.READ)
@@ -200,6 +205,45 @@ class AddressSpace:
         mapping.perm = perm
         mapping.perm_bits = int(perm)
         self._bump_epoch()
+
+    def reset_layout(self, originals: Sequence[Tuple[Mapping, int]]) -> bool:
+        """Return to a zero-filled layout of just ``originals``.
+
+        ``originals`` are ``(mapping, perm_bits)`` pairs recorded when the
+        mappings were the lowest in the table and all zero, and the dirty
+        watermark must still cover every content write since then.  Later
+        mappings are dropped, the watermarked bytes inside ``originals``
+        are zeroed, and the epoch bumps.  Returns False, changing
+        nothing, when an original was unmapped or re-protected or a later
+        mapping lies below one.
+        """
+        mappings = self._mappings
+        count = len(originals)
+        if len(mappings) < count:
+            return False
+        for (mapping, perm_bits), current in zip(originals, mappings):
+            if current is not mapping or mapping.perm_bits != perm_bits:
+                return False
+        del mappings[count:]
+        del self._starts[count:]
+        lo = self.dirty_lo
+        hi = self.dirty_hi
+        for mapping, _ in originals:
+            base = mapping.start
+            end = base + mapping.size
+            if lo < end and hi > base:
+                start = max(lo, base) - base
+                stop = min(hi, end) - base
+                while start < stop:
+                    step = min(stop - start, len(_ZEROS))
+                    mapping.data[start:start + step] = _ZEROS[:step]
+                    start += step
+        self.dirty_lo = MAX_ADDRESS
+        self.dirty_hi = 0
+        self.resolve_count = 0
+        self.search_count = 0
+        self._bump_epoch()
+        return True
 
     def mappings(self) -> Iterator[Mapping]:
         """Iterate over mappings in address order."""
@@ -719,11 +763,29 @@ class AddressSpace:
         return "\n".join(lines)
 
 
-def first_mismatch(a: bytes, b: bytes) -> int:
-    """Index of the first differing byte of two equal-length strings.
+#: first_mismatch compares inputs up to this long with one XOR; longer
+#: ones in windows that start this size and grow fourfold
+MISMATCH_WINDOW = 4096
 
-    Single big-int XOR: the highest set bit of ``a ^ b`` (big-endian) sits
-    inside the first mismatching byte.
+
+def first_mismatch(a: bytes, b: bytes) -> int:
+    """Index of the first differing byte of two unequal, equal-length strings.
+
+    A big-int XOR finds it: the highest set bit of ``a ^ b`` (big-endian)
+    sits inside the first mismatching byte.  Inputs longer than one
+    window are first narrowed to the window holding the mismatch; equal
+    windows are skipped by a C-speed compare, and each window is four
+    times the last, so the cost follows the mismatch's index, not the
+    input's length.
     """
+    start = 0
+    if len(a) > MISMATCH_WINDOW:
+        window = MISMATCH_WINDOW
+        while (start + window < len(a)
+               and a[start:start + window] == b[start:start + window]):
+            start += window
+            window *= 4
+        a = a[start:start + window]
+        b = b[start:start + window]
     x = int.from_bytes(a, "big") ^ int.from_bytes(b, "big")
-    return len(a) - ((x.bit_length() + 7) // 8)
+    return start + len(a) - ((x.bit_length() + 7) // 8)

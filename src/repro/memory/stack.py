@@ -59,6 +59,10 @@ class CallStack:
         self.space = space
         self.mapping: Mapping = space.map_region(size, Perm.RW, name)
         self.protect = protect
+        self.reset()
+
+    def reset(self) -> None:
+        """Pop every frame without checks and draw a new canary."""
         self.sp = self.mapping.end
         self.frames: List[Frame] = []
         #: per-process random canary, as glibc derives one at startup

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, List, Optional, Tuple
+from typing import Deque, List, Optional
 
 #: the ladder, least to most degraded
 RUNGS = ("fused", "table", "interpreted", "shed")

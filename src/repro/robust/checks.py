@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.headers.model import Prototype
-from repro.memory.model import MAX_ADDRESS, Perm, _PERM_READ, _PERM_WRITE
+from repro.memory.model import MAX_ADDRESS, _PERM_READ, _PERM_WRITE
 from repro.robust.introspect import CheckPlan, ParamPlan, as_plan
 from repro.runtime.process import SimProcess
 

@@ -32,7 +32,7 @@ derived plans are differentially identical to them on probed functions.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.ftypes.chains import CHAINS, ROLE_CHAINS, RobustType, chain_for_ctype
 from repro.headers.model import Prototype

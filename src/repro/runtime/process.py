@@ -2,9 +2,11 @@
 
 A :class:`SimProcess` stands in for the OS process that HEALERS' native
 fault-injection harness forks for each probe.  It owns all mutable runtime
-state, so a probe that corrupts memory is discarded with its process and
-the next probe starts clean — the same isolation a fork-per-probe harness
-provides.
+state, so every probe can start from a pristine process — the isolation a
+fork-per-probe harness provides.  Like a fork server, a campaign does not
+pay for a new process each time: :meth:`SimProcess.restore` returns the
+previous one to the state its constructor left, and a new process is
+built only when restore cannot prove that.
 
 Fuel is the deterministic replacement for a wall-clock watchdog: simulated
 libc loops consume one unit per byte processed, and exceeding the budget
@@ -19,6 +21,11 @@ from typing import Callable, Dict, Optional
 from repro.errors import OutOfFuel, ProcessExit, SegmentationFault
 from repro.memory import AddressSpace, CallStack, HeapAllocator, Perm
 from repro.runtime.filesystem import SimFileSystem
+
+
+#: 2003-01-01 00:00:00 UTC — the paper's publication year, where the
+#: simulated wall clock of every process starts
+SIM_EPOCH = 1041379200
 
 
 class Errno:
@@ -61,6 +68,26 @@ class Errno:
         return cls._NAMES.get(value, f"errno_{value}")
 
 
+class _Pristine:
+    """What :meth:`SimProcess.restore` checks against and rebuilds from."""
+
+    __slots__ = ("space", "heap", "stack", "fs", "mappings", "fuel",
+                 "environ")
+
+    def __init__(self, process: "SimProcess", fuel: Optional[int],
+                 environ: Dict[str, str]):
+        self.space = process.space
+        self.heap = process.heap
+        self.stack = process.stack
+        self.fs: Optional[SimFileSystem] = None
+        #: the constructor's mappings, all zero-filled, with their perms
+        self.mappings = tuple(
+            (mapping, mapping.perm_bits) for mapping in process.space.mappings()
+        )
+        self.fuel = fuel
+        self.environ = environ
+
+
 class SimProcess:
     """One simulated process instance.
 
@@ -81,15 +108,23 @@ class SimProcess:
         self.space = AddressSpace()
         #: read-only segment for interned string literals
         self.rodata = self.space.map_region(256 * 1024, Perm.READ, "[rodata]")
-        self._rodata_cursor = self.rodata.start
-        self._interned: Dict[bytes, int] = {}
         #: writable data segment for statics (environ block, wrapper state)
         self.data = self.space.map_region(256 * 1024, Perm.RW, "[data]")
-        self._data_cursor = self.data.start
         self.heap = HeapAllocator(self.space, heap_size, canaries=heap_canaries)
         self.stack = CallStack(self.space, stack_size, protect=stack_protect)
+        #: executable region backing simulated function pointers
+        self.text = self.space.map_region(64 * 1024, Perm.RX, "[text]")
+        self._pristine = _Pristine(self, fuel, dict(environ or {}))
+        self._reset_state()
+
+    def _reset_state(self) -> None:
+        """Set every per-run field to its value in a new process."""
+        pristine = self._pristine
+        self._rodata_cursor = self.rodata.start
+        self._interned: Dict[bytes, int] = {}
+        self._data_cursor = self.data.start
         self.errno = 0
-        self.fuel = fuel
+        self.fuel = pristine.fuel
         self._fuel_used = 0
         self.exit_status: Optional[int] = None
         #: optional :class:`repro.robust.checks.CheckMemo` consulted by the
@@ -100,16 +135,58 @@ class SimProcess:
         #: recovery ``degrade`` action; the serving layer's circuit
         #: breaker listens here, None everywhere else
         self.degrade_hook: Optional[Callable[[str, str], None]] = None
-        self.environ: Dict[str, str] = dict(environ or {})
+        self.environ: Dict[str, str] = dict(pristine.environ)
         self._environ_ptrs: Dict[str, int] = {}
         #: in-memory filesystem + FILE stream table (stdio family)
-        self.fs = SimFileSystem()
-        #: executable region backing simulated function pointers
-        self.text = self.space.map_region(64 * 1024, Perm.RX, "[text]")
+        self.fs = pristine.fs = SimFileSystem()
         self._text_cursor = self.text.start
         self._callbacks: Dict[int, Callable] = {}
         #: PRNG state for rand()/srand()
         self.rand_state = 1
+        #: the C library's hidden statics: strtok's saved cursor, the
+        #: time functions' static buffers, the standard streams' FILE
+        #: structs and the simulated wall clock
+        self._strtok_state = 0
+        self._time_statics: Dict[str, int] = {}
+        self._std_files: Dict[int, int] = {}
+        self.sim_time = SIM_EPOCH
+
+    def restore(self) -> bool:
+        """Bring the process back to the state its constructor left.
+
+        The fork-server half of probe isolation: instead of building a
+        new process per probe, a campaign restores the previous one.
+        Only what the last run could have touched is reset — the dirty
+        watermark bounds the bytes to zero, mappings it added are
+        dropped, and the allocator, stack, file system and every field
+        :meth:`_reset_state` sets, the C library's statics included,
+        start over.  ``epoch`` and ``mutations`` keep counting up, so no
+        stamp-keyed memo can carry over.
+
+        Returns False, leaving the process as it was, when it cannot
+        prove the result pristine: a check memo or degrade hook is
+        installed (the memo consumes the watermark), an allocator or
+        file-system fault hook is armed, an original mapping was
+        unmapped or re-protected, or the space, heap, stack or file
+        system was rebound.  The caller then builds a new process.
+        """
+        pristine = self._pristine
+        heap = self.heap
+        if (self.space is not pristine.space
+                or heap is not pristine.heap
+                or self.stack is not pristine.stack
+                or self.fs is not pristine.fs
+                or self.check_memo is not None
+                or self.degrade_hook is not None
+                or heap.fault_hook is not None
+                or heap.post_alloc_hook is not None
+                or self.fs.fault_hook is not None
+                or not self.space.reset_layout(pristine.mappings)):
+            return False
+        heap.reset()
+        self.stack.reset()
+        self._reset_state()
+        return True
 
     # ------------------------------------------------------------------
     # simulated function pointers

@@ -2,8 +2,10 @@
 
 HEALERS' native harness forks a child per probe, calls the function under
 test, and classifies the child's fate (exit / signal / watchdog timeout).
-Here each probe runs against a fresh :class:`SimProcess`; the sandbox
-catches simulator faults and maps them onto :class:`~repro.errors.Outcome`.
+Here each probe runs against a pristine :class:`SimProcess` — restored
+with :meth:`SimProcess.restore`, or built new when restore cannot prove
+it pristine; the sandbox catches simulator faults and maps them onto
+:class:`~repro.errors.Outcome`.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 from repro.errors import SecurityViolation
 from repro.headers.model import CType, Prototype

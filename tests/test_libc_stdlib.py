@@ -9,6 +9,7 @@ from repro.errors import (
     SegmentationFault,
 )
 from repro.libc import standard_registry
+from repro.memory import Perm
 from repro.runtime import Errno, SimProcess
 
 
@@ -155,6 +156,52 @@ class TestQsortBsearch:
         )
         libc["qsort"](proc, base, 3, 4, comparator)
         assert proc.space.read(base, 12) == b"\x01BBB\x02CCC\x03AAA"
+
+    @staticmethod
+    def _recorded_sort(sort, protect_after=None):
+        """Run ``sort`` (runtime or oracle qsort) with a comparator that
+        records, per comparison, the stamp delta, the watermark and the
+        scratch bytes it sees, then empties the watermark; after
+        ``protect_after`` comparisons it makes the heap read-only."""
+        proc = SimProcess()
+        space = proc.space
+        base = proc.alloc_bytes(b"\x05AA\x01BB\x04CC\x02DD\x03EE")
+        seen = []
+        last = [space.mutations]
+
+        def comparator(p, a, b):
+            seen.append((space.mutations - last[0], space.dirty_lo,
+                         space.dirty_hi, space.read(a, 6)))
+            space.dirty_lo, space.dirty_hi = 2 ** 32, 0
+            if len(seen) == protect_after:
+                space.protect(proc.heap.mapping, Perm.READ)
+            last[0] = space.mutations
+            return space.read_u8(a) - space.read_u8(b)
+
+        compar = proc.register_callback(comparator)
+        try:
+            sort(proc, base, 5, 3, compar)
+            outcome = space.read(base, 15)
+        except SegmentationFault as exc:
+            outcome = (exc.address, exc.access)
+        return seen, outcome
+
+    def test_qsort_scratch_span_matches_two_writes(self, libc):
+        """One resolved span stamps and watermarks each comparison's
+        scratch exactly as the oracle's two ``space.write`` calls do."""
+        from tests.oracles.libc import qsort as oracle_qsort
+
+        assert self._recorded_sort(libc["qsort"]) == \
+            self._recorded_sort(oracle_qsort)
+
+    def test_qsort_comparator_moving_the_epoch_drops_the_span(self, libc):
+        """A comparator that re-protects the scratch's mapping sends the
+        next scratch write back through ``space.write``, which faults."""
+        from tests.oracles.libc import qsort as oracle_qsort
+
+        runtime = self._recorded_sort(libc["qsort"], protect_after=2)
+        assert runtime == self._recorded_sort(oracle_qsort, protect_after=2)
+        assert runtime[1][1] == "write" and len(runtime[0]) == 2
 
     def test_qsort_zero_elements(self, libc, proc):
         base = proc.alloc_buffer(4)

@@ -1,9 +1,13 @@
 """Tests for the paged address space (repro.memory.model)."""
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import BusError, SegmentationFault
 from repro.memory import PAGE_SIZE, AddressSpace, Perm, page_align
+from repro.memory.model import MISMATCH_WINDOW, first_mismatch
 from tests.oracles import ScalarAddressSpace
 
 
@@ -245,3 +249,40 @@ class TestVectorizedSubstrate:
             space.fill(m.start, 0x41, m.size)
             start = m.end - 10
             assert space.read_cstring(start, limit=10) == b"A" * 10
+
+
+#: where first_mismatch's windows start: 0, then each window four times
+#: the one before it
+_WINDOW_EDGES = [0, MISMATCH_WINDOW, MISMATCH_WINDOW * 5,
+                 MISMATCH_WINDOW * 21]
+
+
+@st.composite
+def mismatched_pair(draw):
+    """Two equal-length byte strings differing first at a chosen index."""
+    near_edges = [edge + delta for edge in _WINDOW_EDGES
+                  for delta in (-1, 0, 1) if edge + delta > 0]
+    length = draw(st.one_of(st.sampled_from(near_edges),
+                            st.integers(1, _WINDOW_EDGES[-1] + 2)))
+    special = [i for i in [0, length - 1]
+               + [edge + delta for edge in _WINDOW_EDGES
+                  for delta in (-1, 0, 1)] if 0 <= i < length]
+    index = draw(st.one_of(st.sampled_from(special),
+                           st.integers(0, length - 1)))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    a = rng.randbytes(length)
+    b = bytearray(a)
+    b[index] ^= draw(st.integers(1, 255))
+    if index + 1 < length and draw(st.booleans()):
+        # a later difference must not move the answer
+        later = draw(st.integers(index + 1, length - 1))
+        b[later] ^= 0xFF
+    return a, bytes(b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=mismatched_pair())
+def test_first_mismatch_matches_a_naive_scan(pair):
+    a, b = pair
+    expected = next(i for i in range(len(a)) if a[i] != b[i])
+    assert first_mismatch(a, b) == expected
