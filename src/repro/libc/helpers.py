@@ -21,7 +21,7 @@ import sys
 from array import array
 from typing import Optional
 
-from repro.memory.model import AddressSpace, Perm, first_mismatch
+from repro.memory.model import AddressSpace, Perm, _PERM_READ, first_mismatch
 from repro.runtime.process import SimProcess
 
 
@@ -54,6 +54,17 @@ def scan_string_length_bounded(proc: SimProcess, address: int, maxlen: int) -> i
     raise AssertionError("strnlen fault replay did not fault")
 
 
+def read_string(proc: SimProcess, address: int) -> bytes:
+    """The bytes of the string at ``address``, scanned like strlen
+    (through one span when it ends inside its first mapping)."""
+    data, offset, available = proc.space.span(address, _PERM_READ)
+    end = data.find(0, offset, offset + available)
+    if end >= 0:
+        proc.consume_metered(end - offset + 1)
+        return bytes(data[offset:end])
+    return proc.space.read_run(address, scan_string_length(proc, address))
+
+
 def _bulk_copy(
     proc: SimProcess, dest: int, src: int, count: int, units: Optional[int] = None
 ) -> None:
@@ -74,6 +85,12 @@ def _bulk_copy(
 def copy_string(proc: SimProcess, dest: int, src: int) -> int:
     """strcpy-style byte loop; returns bytes copied excluding the NUL."""
     space = proc.space
+    source = space.span(src, _PERM_READ)
+    data, offset, available = source
+    nul = data.find(0, offset, offset + available)
+    if nul >= 0 and not src < dest <= src + nul - offset and _span_copy(
+            proc, dest, source, nul - offset + 1):
+        return nul - offset
     index, scanned = space.find_byte(src, 0)
     span = (index + 1) if index is not None else scanned + 1
     if src < dest < src + span:
@@ -99,6 +116,22 @@ def copy_string(proc: SimProcess, dest: int, src: int) -> int:
     raise AssertionError("strcpy fault replay did not fault")
 
 
+def _span_copy(proc: SimProcess, dest: int, source, count: int) -> bool:
+    """Copy ``count`` bytes from the read span ``source`` to ``dest``
+    as one memmove-like slice (see :meth:`SimProcess.claim_write`);
+    False, with no side effect, when either range leaves its mapping
+    or the fuel headroom does not cover ``count``."""
+    data, offset, available = source
+    if available < count:
+        return False
+    target = proc.claim_write(dest, count)
+    if target is None:
+        return False
+    buffer, base = target
+    buffer[base:base + count] = data[offset:offset + count]
+    return True
+
+
 def _bytewise_copy_string(proc: SimProcess, dest: int, src: int) -> int:
     copied = 0
     while True:
@@ -115,6 +148,11 @@ def copy_bytes_forward(proc: SimProcess, dest: int, src: int, count: int) -> Non
     if count <= 0:
         return
     space = proc.space
+    # a forward overlap smears the loop's first ``dest - src`` bytes,
+    # which a slice copy does not
+    if not src < dest < src + count and _span_copy(
+            proc, dest, space.span(src, _PERM_READ), count):
+        return
     readable = space.readable_run(src, count)
     writable = space.writable_run(dest, count)
     complete = min(count, readable, writable)
@@ -138,6 +176,8 @@ def copy_bytes_backward(proc: SimProcess, dest: int, src: int, count: int) -> No
     if count <= 0:
         return
     space = proc.space
+    if _span_copy(proc, dest, space.span(src, _PERM_READ), count):
+        return
     readable = space.readable_run_back(src + count, count)
     writable = space.writable_run_back(dest + count, count)
     complete = min(count, readable, writable)
@@ -158,9 +198,15 @@ def copy_bytes_backward(proc: SimProcess, dest: int, src: int, count: int) -> No
 
 
 def compare_strings(proc: SimProcess, left: int, right: int,
-                    limit: Optional[int] = None, fold_case: bool = False) -> int:
-    """strcmp/strncmp/strcasecmp core; returns the C-style difference."""
+                    limit: Optional[int] = None, fold_case: bool = False,
+                    stop_at_nul: bool = True) -> int:
+    """strcmp/strncmp/strcasecmp core (memcmp's with ``stop_at_nul``
+    off); returns the C-style difference.  Windows inside both spans
+    are sliced in place, the rest read through the run helpers."""
     space = proc.space
+    left_data, left_base, left_room = space.span(left, _PERM_READ)
+    right_data, right_base, right_room = space.span(right, _PERM_READ)
+    inside = min(left_room, right_room)
     offset = 0
     chunk = 512
     while True:
@@ -170,29 +216,34 @@ def compare_strings(proc: SimProcess, left: int, right: int,
         cap = chunk
         if limit is not None:
             cap = min(cap, limit - offset)
-        left_run = space.readable_run(left + offset, cap)
-        right_run = space.readable_run(right + offset, cap)
-        window = min(left_run, right_run)
-        if window == 0:
-            proc.consume_metered(offset + 1)
-            if left_run == 0:
-                space.read(left + offset, 1)
-            else:
-                space.read(right + offset, 1)
-            raise AssertionError("strcmp fault replay did not fault")
-        a = space.read_run(left + offset, window)
-        b = space.read_run(right + offset, window)
+        if offset < inside:
+            window = min(cap, inside - offset)
+            a = left_data[left_base + offset:left_base + offset + window]
+            b = right_data[right_base + offset:right_base + offset + window]
+        else:
+            left_run = space.readable_run(left + offset, cap)
+            right_run = space.readable_run(right + offset, cap)
+            window = min(left_run, right_run)
+            if window == 0:
+                proc.consume_metered(offset + 1)
+                if left_run == 0:
+                    space.read(left + offset, 1)
+                else:
+                    space.read(right + offset, 1)
+                raise AssertionError("strcmp fault replay did not fault")
+            a = space.read_run(left + offset, window)
+            b = space.read_run(right + offset, window)
         if fold_case:
             a = a.translate(_FOLD_TABLE)
             b = b.translate(_FOLD_TABLE)
         if a == b:
-            terminator = a.find(0)
+            terminator = a.find(0) if stop_at_nul else -1
             if terminator >= 0:
                 proc.consume_metered(offset + terminator + 1)
                 return 0
         else:
             mismatch = first_mismatch(a, b)
-            terminator = a.find(0, 0, mismatch)
+            terminator = a.find(0, 0, mismatch) if stop_at_nul else -1
             if terminator >= 0:
                 proc.consume_metered(offset + terminator + 1)
                 return 0

@@ -24,6 +24,7 @@ from repro.libc.registry import (
     negative_on_error,
     null_on_error,
 )
+from repro.memory.model import _PERM_WRITE
 from repro.runtime.filesystem import (
     FILE_MAGIC,
     FILE_STRUCT_SIZE,
@@ -300,6 +301,11 @@ def _bulk_format_into(proc: SimProcess, fmt: int, args: List, limit,
         probe = data.find(0x25, parsed[1])
     produced = 0
     arg_index = 0
+    # the destination's span: emissions inside its first mapping write
+    # there in place, the rest take the run helpers
+    out_data, out_base, out_room = (
+        space.span(out_address, _PERM_WRITE) if out_address is not None
+        else (b"", 0, 0))
 
     def emit(chunk: bytes, stride: int) -> bool:
         """Emit ``chunk`` drawing ``stride`` units per byte.
@@ -327,15 +333,20 @@ def _bulk_format_into(proc: SimProcess, fmt: int, args: List, limit,
                 if (target <= fmt + end
                         and fmt + position < target + side):
                     return False
-                writable = space.writable_run(target, side)
-                if writable < side:
-                    if writable:
-                        space.write_run(target, chunk[:writable])
-                    proc.consume_metered(stride * (writable + 1))
-                    space.write(target + writable, b"\x00")
-                    raise AssertionError(
-                        "format fault replay did not fault")
-                space.write_run(target, chunk[:side])
+                if produced + side <= out_room:
+                    space.note_write(target, side)
+                    start = out_base + produced
+                    out_data[start:start + side] = chunk[:side]
+                else:
+                    writable = space.writable_run(target, side)
+                    if writable < side:
+                        if writable:
+                            space.write_run(target, chunk[:writable])
+                        proc.consume_metered(stride * (writable + 1))
+                        space.write(target + writable, b"\x00")
+                        raise AssertionError(
+                            "format fault replay did not fault")
+                    space.write_run(target, chunk[:side])
         proc.consume_metered(stride * count)
         produced += count
         return True
@@ -463,6 +474,50 @@ def _read_string_fuelled(proc: SimProcess, address: int, precision) -> bytes:
 # registration
 # ----------------------------------------------------------------------
 
+def _line_into(proc: SimProcess, index: int, s: int, take: int,
+               extra_read: bool, keep: bool) -> int:
+    """The run-based tail of gets and fgets: store the next ``take``
+    bytes of stream ``index`` at ``s`` and a NUL, and return ``s``.
+
+    The loop draws one unit per byte and one more for ``extra_read``,
+    the read after the data (the newline gets drops, or the read that
+    sets EOF).  Without ``keep`` it read nothing, stores no NUL and
+    returns NULL.  A destination fault or budget trip is replayed where
+    the loop meets it.
+    """
+    space = proc.space
+    fs = proc.fs
+    units = take + 1 if extra_read else take
+    writable = space.writable_run(s, take)
+    headroom = proc.fuel_headroom()
+    if writable < take:
+        fault_units = writable + 1
+        advance = fault_units if headroom is None or headroom >= fault_units else headroom
+        data = fs.read(index, advance) if advance else b""
+        side = min(writable, advance)
+        if side:
+            space.write_run(s, data[:side])
+        proc.consume_metered(fault_units)
+        space.write(s + writable, b"\x00")
+        raise AssertionError("line fault replay did not fault")
+    if headroom is not None and headroom < units:
+        data = fs.read(index, headroom) if headroom else b""
+        if data:
+            space.write_run(s, data)
+        proc.consume_metered(units)
+        raise AssertionError("line fuel replay did not trip")
+    data = fs.read(index, take) if take else b""
+    if data:
+        space.write_run(s, data)
+    if extra_read:
+        fs.read(index, 1)
+    proc.consume_metered(units)
+    if not keep:
+        return 0
+    space.write(s + take, b"\x00")
+    return s
+
+
 def register(reg: LibcRegistry) -> None:
     """Register the stdio family into ``reg``."""
 
@@ -512,9 +567,9 @@ def register(reg: LibcRegistry) -> None:
                    error_detector=negative_on_error)
     def puts(proc: SimProcess, s: int) -> int:
         """Write s and a newline to stdout."""
-        length = helpers.scan_string_length(proc, s)
-        proc.fs.write(STDOUT_INDEX, proc.space.read(s, length) + b"\n")
-        return length + 1
+        data = helpers.read_string(proc, s)
+        proc.fs.write(STDOUT_INDEX, data + b"\n")
+        return len(data) + 1
 
     @libc_function(reg, "int putchar(int c)",
                    header="stdio.h", category="stdio")
@@ -529,7 +584,6 @@ def register(reg: LibcRegistry) -> None:
                    error_detector=null_on_error)
     def gets(proc: SimProcess, s: int) -> int:
         """Read a line from stdin with *no* bound — the classic CVE."""
-        space = proc.space
         fs = proc.fs
         if fs.peek(STDIN_INDEX, 1) is None:
             proc.consume_metered(1)
@@ -549,35 +603,18 @@ def register(reg: LibcRegistry) -> None:
                 break
             offset += 4096
         # one fuel unit per loop iteration: linelen data bytes plus the
-        # newline (or the empty read that flags EOF)
-        units = linelen + 1
-        writable = space.writable_run(s, linelen)
-        headroom = proc.fuel_headroom()
-        if writable < linelen:
-            fault_units = writable + 1
-            advance = fault_units if headroom is None or headroom >= fault_units else headroom
-            data = fs.read(STDIN_INDEX, advance) if advance else b""
-            side = min(writable, advance)
-            if side:
-                space.write_run(s, data[:side])
-            proc.consume_metered(fault_units)
-            space.write(s + writable, b"\x00")
-            raise AssertionError("gets fault replay did not fault")
-        if headroom is not None and headroom < units:
-            data = fs.read(STDIN_INDEX, headroom) if headroom else b""
-            if data:
-                space.write_run(s, data)
-            proc.consume_metered(units)
-            raise AssertionError("gets fuel replay did not trip")
-        data = fs.read(STDIN_INDEX, linelen) if linelen else b""
-        if data:
-            space.write_run(s, data)
-        fs.read(STDIN_INDEX, 1)  # the newline, or the empty read setting EOF
-        proc.consume_metered(units)
-        if linelen == 0 and not newline:
-            return 0
-        space.write(s + linelen, b"\x00")
-        return s
+        # newline (or the empty read that flags EOF), one per byte a
+        # stored line takes with its NUL
+        keep = linelen > 0 or newline
+        target = proc.claim_write(s, linelen + 1) if keep else None
+        if target is not None:
+            buffer, base = target
+            if linelen:
+                buffer[base:base + linelen] = fs.read(STDIN_INDEX, linelen)
+            buffer[base + linelen] = 0
+            fs.read(STDIN_INDEX, 1)  # the newline, or the read setting EOF
+            return s
+        return _line_into(proc, STDIN_INDEX, s, linelen, True, keep)
 
     @libc_function(reg, "char *fgets(char *s, int size, void *stream)",
                    header="stdio.h", category="stdio",
@@ -590,7 +627,6 @@ def register(reg: LibcRegistry) -> None:
         want = size - 1
         if want == 0:
             return 0
-        space = proc.space
         fs = proc.fs
         window = fs.peek(index, want)
         if window is None:
@@ -605,35 +641,7 @@ def register(reg: LibcRegistry) -> None:
         else:
             take = len(window)
             eof_hit = take < want
-        units = take + 1 if eof_hit else take
-        writable = space.writable_run(s, take)
-        headroom = proc.fuel_headroom()
-        if writable < take:
-            fault_units = writable + 1
-            advance = fault_units if headroom is None or headroom >= fault_units else headroom
-            data = fs.read(index, advance) if advance else b""
-            side = min(writable, advance)
-            if side:
-                space.write_run(s, data[:side])
-            proc.consume_metered(fault_units)
-            space.write(s + writable, b"\x00")
-            raise AssertionError("fgets fault replay did not fault")
-        if headroom is not None and headroom < units:
-            data = fs.read(index, headroom) if headroom else b""
-            if data:
-                space.write_run(s, data)
-            proc.consume_metered(units)
-            raise AssertionError("fgets fuel replay did not trip")
-        data = fs.read(index, take) if take else b""
-        if data:
-            space.write_run(s, data)
-        if eof_hit:
-            fs.read(index, 1)  # the empty read that sets the EOF flag
-        proc.consume_metered(units)
-        if take == 0:
-            return 0
-        space.write(s + take, b"\x00")
-        return s
+        return _line_into(proc, index, s, take, eof_hit, take > 0)
 
     @libc_function(reg, "void *fopen(const char *path, const char *mode)",
                    header="stdio.h", category="stdio",

@@ -18,7 +18,7 @@ from repro.libc.registry import (
     libc_function,
     null_on_error,
 )
-from repro.memory.model import Perm
+from repro.memory.model import _PERM_READ, _PERM_WRITE
 from repro.runtime.process import Errno, SimProcess
 
 INT_MIN = -(2 ** 31)
@@ -27,9 +27,6 @@ LONG_MIN = -(2 ** 63)
 LONG_MAX = 2 ** 63 - 1
 ULONG_MAX = 2 ** 64 - 1
 RAND_MAX = 2 ** 31 - 1
-
-_PERM_READ = int(Perm.READ)
-_PERM_WRITE = int(Perm.WRITE)
 
 
 def register(reg: LibcRegistry) -> None:
@@ -236,27 +233,17 @@ def register(reg: LibcRegistry) -> None:
         # comparator that maps or protects memory moves the epoch and
         # sends the rest of the sort back through ``space.write``
         space = proc.space
-        mapping = space.find_mapping(scratch) if size > 0 else None
-        epoch = -1
-        if (mapping is not None and mapping.perm_bits & _PERM_WRITE
-                and scratch + 2 * size <= mapping.end):
-            epoch = space.epoch
-            data = mapping.data
-            first = scratch - mapping.start
-            second = first + size
-            end = scratch + 2 * size
+        data, first, room = space.span(scratch, _PERM_WRITE)
+        epoch = space.epoch if 0 < 2 * size <= room else -1
+        second = first + size
         try:
             import functools
 
             def cmp(a: bytes, b: bytes) -> int:
                 proc.consume()
                 if space.epoch == epoch:
-                    # the two writes' stamp and watermark, in one step
-                    space.mutations += 2
-                    if scratch < space.dirty_lo:
-                        space.dirty_lo = scratch
-                    if end > space.dirty_hi:
-                        space.dirty_hi = end
+                    space.note_write(scratch, size)
+                    space.note_write(scratch + size, size)
                     data[first:second] = a
                     data[second:second + size] = b
                 else:

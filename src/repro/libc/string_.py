@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from repro.libc import helpers
 from repro.libc.registry import LibcRegistry, libc_function, null_on_error
-from repro.memory.model import first_mismatch
+from repro.memory.model import _PERM_READ
 from repro.runtime.process import Errno, SimProcess
 
 _ERRNO_MESSAGES = {
@@ -71,6 +71,16 @@ def register(reg: LibcRegistry) -> None:
             # the loop itself reproduces that faithfully
             _bytewise_strncpy(proc, dest, src, n)
             return dest
+        data, offset, available = space.span(src, _PERM_READ)
+        nul = data.find(0, offset, offset + min(n, available))
+        if nul >= 0 or available >= n:
+            copy_n = n if nul < 0 else nul - offset + 1
+            target = proc.claim_write(dest, n)
+            if target is not None:
+                buffer, base = target
+                buffer[base:base + copy_n] = data[offset:offset + copy_n]
+                buffer[base + copy_n:base + n] = bytes(n - copy_n)
+                return dest
         index, scanned = space.find_byte(src, 0, n)
         if index is not None:
             copy_n, read_ok = index + 1, True
@@ -79,27 +89,24 @@ def register(reg: LibcRegistry) -> None:
         else:
             copy_n, read_ok = scanned, False  # read faults at src + scanned
         writable = space.writable_run(dest, n)
-        headroom = proc.fuel_headroom()
-        if read_ok and writable >= n:
-            side = n if headroom is None else min(n, headroom)
-            copied = min(side, copy_n)
-            if copied:
-                space.write_run(dest, space.read_run(src, copied))
-            if side > copied:
-                space.fill_run(dest + copied, 0, side - copied)
-            proc.consume_metered(n)
-            return dest
-        if not read_ok and copy_n <= writable:
-            fault_offset = copy_n
+        complete = read_ok and writable >= n
+        if complete:
+            stop = n
+        elif not read_ok and copy_n <= writable:
+            stop = copy_n  # the read at src + copy_n faults
         else:
-            fault_offset = writable
-        side = fault_offset if headroom is None else min(fault_offset, headroom)
+            stop = writable  # the write at dest + writable faults
+        headroom = proc.fuel_headroom()
+        side = stop if headroom is None else min(stop, headroom)
         copied = min(side, copy_n)
         if copied:
             space.write_run(dest, space.read_run(src, copied))
         if side > copied:
             space.fill_run(dest + copied, 0, side - copied)
-        proc.consume_metered(fault_offset + 1)
+        if complete:
+            proc.consume_metered(n)
+            return dest
+        proc.consume_metered(stop + 1)
         if not read_ok and copy_n <= writable:
             space.read(src + copy_n, 1)
         else:
@@ -166,12 +173,12 @@ def register(reg: LibcRegistry) -> None:
                    error_detector=null_on_error)
     def strchr(proc: SimProcess, s: int, c: int) -> int:
         """First occurrence of (char)c in s, or NULL."""
-        target = c & 0xFF
         space = proc.space
-        hit, _ = space.find_byte(s, target)
         nul, scanned = space.find_byte(s, 0)
-        # the loop tests target before terminator, so a tie goes to target
-        if hit is not None and (nul is None or hit <= nul):
+        # only the scanned bytes can hold the target; the loop tests it
+        # before the terminator, so a tie goes to the target
+        hit, _ = space.find_byte(s, c, scanned)
+        if hit is not None:
             proc.consume_metered(hit + 1)
             return s + hit
         if nul is not None:
@@ -204,26 +211,23 @@ def register(reg: LibcRegistry) -> None:
                    error_detector=null_on_error)
     def strstr(proc: SimProcess, haystack: int, needle: int) -> int:
         """First occurrence of needle in haystack, or NULL."""
-        needle_len = helpers.scan_string_length(proc, needle)
-        if needle_len == 0:
+        needle_bytes = helpers.read_string(proc, needle)
+        if not needle_bytes:
             return haystack
-        needle_bytes = proc.space.read(needle, needle_len)
         return _bulk_strstr(proc, haystack, needle_bytes)
 
     @libc_function(reg, "size_t strspn(const char *s, const char *accept)",
                    header="string.h", category="string")
     def strspn(proc: SimProcess, s: int, accept: int) -> int:
         """Length of the initial segment of s made of accept's bytes."""
-        accept_len = helpers.scan_string_length(proc, accept)
-        accept_set = set(proc.space.read(accept, accept_len))
+        accept_set = set(helpers.read_string(proc, accept))
         return _bulk_span(proc, s, accept_set, True)[0]
 
     @libc_function(reg, "size_t strcspn(const char *s, const char *reject)",
                    header="string.h", category="string")
     def strcspn(proc: SimProcess, s: int, reject: int) -> int:
         """Length of the initial segment of s free of reject's bytes."""
-        reject_len = helpers.scan_string_length(proc, reject)
-        reject_set = set(proc.space.read(reject, reject_len))
+        reject_set = set(helpers.read_string(proc, reject))
         return _bulk_span(proc, s, reject_set, False)[0]
 
     @libc_function(reg, "char *strpbrk(const char *s, const char *accept)",
@@ -231,8 +235,7 @@ def register(reg: LibcRegistry) -> None:
                    error_detector=null_on_error)
     def strpbrk(proc: SimProcess, s: int, accept: int) -> int:
         """First byte of s that is in accept, or NULL."""
-        accept_len = helpers.scan_string_length(proc, accept)
-        accept_set = set(proc.space.read(accept, accept_len))
+        accept_set = set(helpers.read_string(proc, accept))
         index, hit = _bulk_span(proc, s, accept_set, False)
         return s + index if hit else 0
 
@@ -301,6 +304,11 @@ def register(reg: LibcRegistry) -> None:
         """Fill n bytes with (unsigned char)c."""
         if n <= 0:
             return s
+        target = proc.claim_write(s, n)
+        if target is not None:
+            buffer, base = target
+            buffer[base:base + n] = bytes([c & 0xFF]) * n
+            return s
         space = proc.space
         writable = space.writable_run(s, n)
         headroom = proc.fuel_headroom()
@@ -321,27 +329,8 @@ def register(reg: LibcRegistry) -> None:
                    header="string.h", category="memory")
     def memcmp(proc: SimProcess, s1: int, s2: int, n: int) -> int:
         """Compare n bytes."""
-        if n <= 0:
-            return 0
-        space = proc.space
-        run1 = space.readable_run(s1, n)
-        run2 = space.readable_run(s2, n)
-        window = min(n, run1, run2)
-        a = space.read_run(s1, window)
-        b = space.read_run(s2, window)
-        if a != b:
-            mismatch = first_mismatch(a, b)
-            proc.consume_metered(mismatch + 1)
-            return a[mismatch] - b[mismatch]
-        if window >= n:
-            proc.consume_metered(n)
-            return 0
-        proc.consume_metered(window + 1)
-        if run1 <= run2:
-            space.read(s1 + window, 1)
-        else:
-            space.read(s2 + window, 1)
-        raise AssertionError("memcmp fault replay did not fault")
+        return helpers.compare_strings(proc, s1, s2, limit=n,
+                                       stop_at_nul=False)
 
     @libc_function(reg, "void *memchr(const void *s, int c, size_t n)",
                    header="string.h", category="memory",
@@ -492,8 +481,7 @@ def _strtok_impl(proc: SimProcess, str_: int, delim: int, save_ptr) -> int:
         cursor = str_ if str_ != 0 else proc.space.read_ptr(save_ptr)
     if cursor == 0:
         return 0
-    delim_len = helpers.scan_string_length(proc, delim)
-    delim_set = set(proc.space.read(delim, delim_len))
+    delim_set = set(helpers.read_string(proc, delim))
     # skip leading delimiters
     while True:
         proc.consume()

@@ -16,6 +16,18 @@ slices at C speed (``bytes.find``, slice assignment,
 per-byte scan would.  The per-byte loops they replace live on as test
 oracles (``tests/oracles``); the differential suite asserts byte- and
 fault-address parity against them.
+
+The span contract: a libc body or argument check resolves each pointer
+argument once per call with :meth:`AddressSpace.span` (buffer, offset,
+bytes left in the mapping; it never faults) and works on the buffer in
+place, but only when the whole access lies inside that first mapping,
+the mapping has the permission, and the fuel headroom covers every unit
+the call draws.  A write through a span calls
+:meth:`AddressSpace.note_write` once, which keeps ``mutations`` and the
+dirty watermark exact for ``CheckMemo``.  Every other call takes the run
+helpers (``readable_run``, ``read_run``, ``write_run``, ``find_byte``):
+they cross adjacent mappings and are the only replay path for faults
+and clamped fuel.
 """
 
 from __future__ import annotations
@@ -75,22 +87,20 @@ _PERM_WRITE = int(Perm.WRITE)
 class Mapping:
     """A contiguous mapped region with uniform permissions."""
 
-    __slots__ = ("start", "size", "perm", "perm_bits", "name", "data")
+    __slots__ = ("start", "size", "end", "perm", "perm_bits", "name", "data")
 
     def __init__(self, start: int, size: int, perm: Perm, name: str):
         self.start = start
         self.size = size
+        #: one past the last valid address (``start`` and ``size`` are
+        #: never reassigned, so this is set once)
+        self.end = start + size
         self.perm = perm
         #: plain-int shadow of ``perm`` — the hot access loops test
         #: permissions with int ``&`` instead of enum dispatch
         self.perm_bits = int(perm)
         self.name = name
         self.data = bytearray(size)
-
-    @property
-    def end(self) -> int:
-        """One past the last valid address of the mapping."""
-        return self.start + self.size
 
     def contains(self, address: int, length: int = 1) -> bool:
         """True when ``[address, address+length)`` lies inside the mapping."""
@@ -313,6 +323,31 @@ class AddressSpace:
         return True
 
     # ------------------------------------------------------------------
+    # spans: one resolution, then direct work on ``Mapping.data``
+    # ------------------------------------------------------------------
+
+    def span(self, address: int, perm: int) -> Tuple[bytes, int, int]:
+        """``(data, offset, available)`` of ``address`` for ``perm`` (an int
+        mask): its mapping's buffer, its offset there and the bytes left
+        to the mapping's end; ``(b"", 0, 0)`` instead of a fault.
+        """
+        self.resolve_count += 1
+        mapping = self.find_mapping(address)
+        if mapping is None or not (mapping.perm_bits & perm):
+            return b"", 0, 0
+        offset = address - mapping.start
+        return mapping.data, offset, mapping.size - offset
+
+    def note_write(self, address: int, length: int) -> None:
+        """Record a write of ``length`` bytes at ``address``: bump
+        ``mutations`` and widen the dirty watermark, once per write."""
+        self.mutations += 1
+        if address < self.dirty_lo:
+            self.dirty_lo = address
+        if address + length > self.dirty_hi:
+            self.dirty_hi = address + length
+
+    # ------------------------------------------------------------------
     # raw access
     # ------------------------------------------------------------------
 
@@ -329,11 +364,7 @@ class AddressSpace:
         if not data:
             return
         mapping = self._resolve(address, len(data), Perm.WRITE, "write")
-        self.mutations += 1
-        if address < self.dirty_lo:
-            self.dirty_lo = address
-        if address + len(data) > self.dirty_hi:
-            self.dirty_hi = address + len(data)
+        self.note_write(address, len(data))
         offset = address - mapping.start
         mapping.data[offset : offset + len(data)] = data
 
@@ -346,11 +377,7 @@ class AddressSpace:
         if length == 0:
             return
         mapping = self._resolve(address, length, Perm.WRITE, "write")
-        self.mutations += 1
-        if address < self.dirty_lo:
-            self.dirty_lo = address
-        if address + length > self.dirty_hi:
-            self.dirty_hi = address + length
+        self.note_write(address, length)
         offset = address - mapping.start
         mapping.data[offset : offset + length] = bytes([value & 0xFF]) * length
 
@@ -435,11 +462,7 @@ class AddressSpace:
         """Write ``data`` crossing adjacent mappings (per-byte fault parity)."""
         if data:
             # counted up front: a fault partway still leaves bytes written
-            self.mutations += 1
-            if address < self.dirty_lo:
-                self.dirty_lo = address
-            if address + len(data) > self.dirty_hi:
-                self.dirty_hi = address + len(data)
+            self.note_write(address, len(data))
         cursor = address
         view = memoryview(data)
         position = 0
@@ -459,11 +482,7 @@ class AddressSpace:
     def fill_run(self, address: int, value: int, length: int) -> None:
         """Fill ``length`` bytes crossing adjacent mappings."""
         if length > 0:
-            self.mutations += 1
-            if address < self.dirty_lo:
-                self.dirty_lo = address
-            if address + length > self.dirty_hi:
-                self.dirty_hi = address + length
+            self.note_write(address, length)
         cursor = address
         remaining = length
         value &= 0xFF
@@ -634,11 +653,7 @@ class AddressSpace:
 
     def write_u8(self, address: int, value: int) -> None:
         mapping = self._resolve(address, 1, Perm.WRITE, "write")
-        self.mutations += 1
-        if address < self.dirty_lo:
-            self.dirty_lo = address
-        if address + 1 > self.dirty_hi:
-            self.dirty_hi = address + 1
+        self.note_write(address, 1)
         mapping.data[address - mapping.start] = value & 0xFF
 
     def read_u16(self, address: int) -> int:
@@ -647,11 +662,7 @@ class AddressSpace:
 
     def write_u16(self, address: int, value: int) -> None:
         mapping = self._resolve(address, 2, Perm.WRITE, "write")
-        self.mutations += 1
-        if address < self.dirty_lo:
-            self.dirty_lo = address
-        if address + 2 > self.dirty_hi:
-            self.dirty_hi = address + 2
+        self.note_write(address, 2)
         _U16.pack_into(mapping.data, address - mapping.start, value & 0xFFFF)
 
     def read_u32(self, address: int) -> int:
@@ -660,11 +671,7 @@ class AddressSpace:
 
     def write_u32(self, address: int, value: int) -> None:
         mapping = self._resolve(address, 4, Perm.WRITE, "write")
-        self.mutations += 1
-        if address < self.dirty_lo:
-            self.dirty_lo = address
-        if address + 4 > self.dirty_hi:
-            self.dirty_hi = address + 4
+        self.note_write(address, 4)
         _U32.pack_into(mapping.data, address - mapping.start, value & 0xFFFFFFFF)
 
     def read_u64(self, address: int) -> int:
@@ -673,11 +680,7 @@ class AddressSpace:
 
     def write_u64(self, address: int, value: int) -> None:
         mapping = self._resolve(address, 8, Perm.WRITE, "write")
-        self.mutations += 1
-        if address < self.dirty_lo:
-            self.dirty_lo = address
-        if address + 8 > self.dirty_hi:
-            self.dirty_hi = address + 8
+        self.note_write(address, 8)
         _U64.pack_into(
             mapping.data, address - mapping.start, value & 0xFFFFFFFFFFFFFFFF
         )
@@ -690,11 +693,7 @@ class AddressSpace:
         # C stores truncate: keep the low 32 bits, reinterpret as signed
         value = ((value + (1 << 31)) & 0xFFFFFFFF) - (1 << 31)
         mapping = self._resolve(address, 4, Perm.WRITE, "write")
-        self.mutations += 1
-        if address < self.dirty_lo:
-            self.dirty_lo = address
-        if address + 4 > self.dirty_hi:
-            self.dirty_hi = address + 4
+        self.note_write(address, 4)
         _I32.pack_into(mapping.data, address - mapping.start, value)
 
     def read_ptr(self, address: int) -> int:

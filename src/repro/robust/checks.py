@@ -201,16 +201,10 @@ def writable_extent(proc: SimProcess, pointer: int) -> int:
     if heap_bound is not None:
         extent = heap_bound
     else:
-        mapping = proc.space.find_mapping(pointer)
-        if mapping is not None and mapping.perm_bits & _PERM_WRITE:
-            if proc.heap.mapping is mapping:
-                # inside the heap but not inside any live allocation:
-                # treat as invalid rather than granting the rest of the
-                # heap region
-                extent = 0
-            else:
-                extent = mapping.end - pointer
-        else:
+        data, _, extent = proc.space.span(pointer, _PERM_WRITE)
+        if data is proc.heap.mapping.data:
+            # inside the heap but not inside any live allocation: treat
+            # as invalid rather than granting the rest of the heap region
             extent = 0
     if memo is not None:
         memo.misses += 1
@@ -219,8 +213,9 @@ def writable_extent(proc: SimProcess, pointer: int) -> int:
     return extent
 
 
-def readable_extent(proc: SimProcess, pointer: int) -> int:
-    """Readable bytes available from ``pointer`` (0 when invalid)."""
+def readable_extent(proc: SimProcess, pointer: int, span=None) -> int:
+    """Readable bytes available from ``pointer`` (0 when invalid);
+    ``span`` is its read span, when the caller already resolved it."""
     memo = proc.check_memo
     if memo is not None:
         if memo.stamp != proc.space.mutations:
@@ -229,18 +224,14 @@ def readable_extent(proc: SimProcess, pointer: int) -> int:
         if cached is not None:
             memo.hits += 1
             return cached
-    mapping = proc.space.find_mapping(pointer)
-    if mapping is None or not mapping.perm_bits & _PERM_READ:
-        extent = 0
-    elif proc.heap.mapping is mapping:
+    data, _, extent = span or proc.space.span(pointer, _PERM_READ)
+    if data is proc.heap.mapping.data:
         found = proc.heap.allocation_containing(pointer)
         if found is None:
             extent = 0
         else:
             user, size = found
             extent = user + size - pointer
-    else:
-        extent = mapping.end - pointer
     if memo is not None:
         memo.misses += 1
         if len(memo.rext) < _MEMO_LIMIT:
@@ -255,11 +246,11 @@ def terminated_length(proc: SimProcess, pointer: int,
 
     The scan never leaves readable memory and never exceeds
     MAX_STRING_SCAN — the wrapper must not itself crash or hang on the
-    argument it is vetting.  The readable extent is established first and
-    the terminator search runs as one C-speed scan over the mapping slice
-    (:meth:`AddressSpace.find_byte` / :meth:`AddressSpace.find_u32`), with
-    no per-byte paging round trips and no chunk copies; results are
-    identical to a per-character scan.
+    argument it is vetting.  The pointer is resolved once
+    (:meth:`AddressSpace.span`); the readable extent comes from that span
+    and the terminator search is one C-speed ``find`` in its buffer
+    (:meth:`AddressSpace.find_u32` for wide strings), with no chunk
+    copies; results are identical to a per-character scan.
     """
     memo = proc.check_memo
     if wide:
@@ -277,11 +268,19 @@ def terminated_length(proc: SimProcess, pointer: int,
             if memo.dep_log is not None:
                 memo.dep_log.append((pointer, cached, content))
             return cached[0]
-    bound = min(readable_extent(proc, pointer), MAX_STRING_SCAN)
+    span = proc.space.span(pointer, _PERM_READ)
+    bound = min(readable_extent(proc, pointer, span), MAX_STRING_SCAN)
     if wide:
         index, _ = proc.space.find_u32(pointer, 0, bound // WCHAR_SIZE)
     else:
-        index, scanned = proc.space.find_byte(pointer, 0, bound)
+        # the extent never passes the span's mapping, so one find in
+        # its buffer is the whole scan
+        data, offset, _ = span
+        index = data.find(0, offset, offset + bound) - offset
+        if index < 0:
+            index, scanned = None, bound
+        else:
+            scanned = index + 1
         if memo is not None:
             memo.misses += 1
             if len(memo.term) < _MEMO_LIMIT:

@@ -20,6 +20,7 @@ from typing import Callable, Dict, Optional
 
 from repro.errors import OutOfFuel, ProcessExit, SegmentationFault
 from repro.memory import AddressSpace, CallStack, HeapAllocator, Perm
+from repro.memory.model import _PERM_WRITE
 from repro.runtime.filesystem import SimFileSystem
 
 
@@ -252,6 +253,20 @@ class SimProcess:
             raise OutOfFuel(self._fuel_used)
         self._fuel_used += units
 
+    def claim_write(self, address: int, count: int):
+        """Draw and record a ``count``-byte (>= 1) write at ``address``
+        paid one unit per byte, and return the ``(data, offset)`` to
+        assign it into; None, with no side effect, unless the write lies
+        inside one writable mapping and the fuel headroom covers it.
+        """
+        data, offset, available = self.space.span(address, _PERM_WRITE)
+        if available < count or (self.fuel is not None
+                                 and self._fuel_used + count > self.fuel):
+            return None
+        self._fuel_used += count
+        self.space.note_write(address, count)
+        return data, offset
+
     @property
     def fuel_used(self) -> int:
         """Total fuel consumed so far."""
@@ -306,12 +321,7 @@ class SimProcess:
         address = self._rodata_cursor
         # write through the mapping directly: rodata is not CPU-writable
         # (still counted as a content mutation for memo invalidation)
-        space = self.space
-        space.mutations += 1
-        if address < space.dirty_lo:
-            space.dirty_lo = address
-        if address + needed > space.dirty_hi:
-            space.dirty_hi = address + needed
+        self.space.note_write(address, needed)
         offset = address - self.rodata.start
         self.rodata.data[offset : offset + len(value)] = value
         self.rodata.data[offset + len(value)] = 0

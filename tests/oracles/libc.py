@@ -66,6 +66,10 @@ def compare_strings(proc, left, right, limit=None, fold_case=False):
     return 0
 
 
+def read_string(proc, address):
+    return proc.space.read_run(address, scan_string_length(proc, address))
+
+
 #: ``repro.libc.helpers`` bulk helper -> its loop
 HELPERS = {
     "scan_string_length": scan_string_length,
@@ -74,6 +78,7 @@ HELPERS = {
     "copy_bytes_forward": copy_bytes_forward,
     "copy_bytes_backward": copy_bytes_backward,
     "compare_strings": compare_strings,
+    "read_string": read_string,
 }
 
 

@@ -286,6 +286,18 @@ class TestLibcParity:
     # compared on every run (random scenes rarely draw one)
     @example(fuel=None, follower=None, payload=b"A" * 16, name="strchr",
              tail=8, span=0, value=ord("z"))
+    # pinned: calls that leave the span path for the run helpers — a
+    # strcmp whose strings agree up to the first page's edge and are
+    # decided in the adjacent mapping, and a memcpy inside one mapping
+    # whose budget runs out mid-copy
+    @example(fuel=None, follower=Perm.RW, payload=b"A" * (PAGE_SIZE - 32),
+             name="strcmp", tail=8, span=0, value=0)
+    @example(fuel=5, follower=Perm.RW, payload=b"C" * 40, name="memcpy",
+             tail=60, span=20, value=0)
+    # pinned: a strchr miss whose terminator ends the scan long before
+    # the mapping does
+    @example(fuel=None, follower=None, payload=b"abc\x00def", name="strchr",
+             tail=7, span=0, value=ord("z"))
     @COMMON
     def test_string_family(self, fuel, follower, payload, name, tail,
                            span, value):
@@ -314,6 +326,30 @@ class TestLibcParity:
             args = (inner, edge, span)
         ref = run_call(reference, scalar_libc, name, args)
         vec = run_call(vectorized, libc_registry, name, args)
+        assert_procs_agree(reference, vectorized, ref, vec)
+
+    @given(
+        fuel=st.one_of(st.none(), st.integers(0, 50)),
+        follower=FOLLOWER,
+        length=st.integers(0, 40),
+        room=st.integers(1, 48),
+    )
+    # pinned: the copy ends exactly at the first page's end (the span
+    # path's last fit), and one byte past it (the run helpers' fault)
+    @example(fuel=None, follower=None, length=9, room=10)
+    @example(fuel=None, follower=None, length=10, room=10)
+    @COMMON
+    def test_strcpy_dest_at_mapping_end(self, fuel, follower, length, room):
+        """strcpy into a destination ``room`` bytes before the first
+        page's end: the copy stops inside, at or past the mapping."""
+        src = SCENE + 256
+        dest = SCENE + PAGE_SIZE - room
+        reference, vectorized = scene_procs(
+            follower, {src: b"s" * length + b"\x00"})[:2]
+        for proc in (reference, vectorized):
+            proc.fuel = fuel
+        ref = run_call(reference, scalar_libc, "strcpy", (dest, src))
+        vec = run_call(vectorized, libc_registry, "strcpy", (dest, src))
         assert_procs_agree(reference, vectorized, ref, vec)
 
     @given(

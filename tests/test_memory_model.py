@@ -204,6 +204,41 @@ class TestVectorizedSubstrate:
         space.read(m.start, 256)
         assert space.resolve_count == before + 1
 
+    def test_libc_bodies_resolve_each_pointer_once(self, monkeypatch):
+        """In-mapping strcmp, strcpy, memcpy, memset and
+        terminated_length resolve each pointer argument exactly once."""
+        from repro.libc import standard_registry
+        from repro.robust.checks import terminated_length
+        from repro.runtime import SimProcess
+
+        libc = standard_registry()
+        proc = SimProcess()
+        space = proc.space
+        hello = proc.alloc_cstring(b"hello")
+        help_ = proc.alloc_cstring(b"help!")
+        buf = proc.alloc_buffer(32)
+        resolved = []
+        find_mapping = space.find_mapping
+
+        def recording(address):
+            resolved.append(address)
+            return find_mapping(address)
+
+        monkeypatch.setattr(space, "find_mapping", recording)
+        calls = [
+            (lambda: libc["strcmp"](proc, hello, help_), [hello, help_]),
+            (lambda: libc["strcpy"](proc, buf, hello), [hello, buf]),
+            (lambda: libc["memcpy"](proc, buf, hello, 6), [hello, buf]),
+            (lambda: libc["memset"](proc, buf, 0x41, 32), [buf]),
+            (lambda: terminated_length(proc, hello), [hello]),
+        ]
+        for call, pointers in calls:
+            resolved.clear()
+            before = space.resolve_count
+            call()
+            assert resolved == pointers
+            assert space.resolve_count == before + len(pointers)
+
     def test_memo_serves_repeat_hits_without_search(self, space):
         m = space.map_region(PAGE_SIZE)
         space.write_u32(m.start, 7)
