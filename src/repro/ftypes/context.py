@@ -62,6 +62,15 @@ class ProbeContext:
         #: extra variadic arguments passed after the fixed parameters
         self.varargs: List[Any] = []
 
+    def copy(self) -> "ProbeContext":
+        """A context over the same process with its own copies of the
+        argument tables, which materialising a test value may extend."""
+        clone = ProbeContext(self.process, self.prototype, self.manpage)
+        clone.golden, clone.capacities, clone.texts, clone.varargs = (
+            self.golden.copy(), self.capacities.copy(), self.texts.copy(),
+            self.varargs.copy())
+        return clone
+
     # ------------------------------------------------------------------
     # role lookup
     # ------------------------------------------------------------------
@@ -273,9 +282,11 @@ class ProbeContext:
         Ballista-style harnesses use to make bounds violations observable.
         """
         capacity = max(capacity, 1)
-        mapping = self.process.space.map_region(capacity, perm, "[edge]")
+        space = self.process.space
+        mapping = space.map_region(capacity, perm, "[edge]")
         address = mapping.end - capacity
         if seed:
+            space.note_write(address, min(len(seed) + 1, capacity), mapping)
             offset = address - mapping.start
             mapping.data[offset : offset + len(seed)] = seed
             if len(seed) < capacity:
@@ -286,10 +297,9 @@ class ProbeContext:
                    perm: Perm = Perm.RW) -> int:
         """A dedicated mapping completely filled with ``byte`` (no NUL)."""
         mapping = self.process.space.map_region(size, perm, "[probe]")
-        offset = 0
         # write through the mapping to bypass CPU permission checks
+        self.process.space.note_write(mapping.start, mapping.size, mapping)
         mapping.data[:] = bytes([byte]) * mapping.size
-        del offset
         return mapping.start
 
     def unmapped_address(self) -> int:

@@ -13,8 +13,9 @@ something inside one process's address space.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.ftypes.chains import ROLE_CHAINS, chain_for_ctype
 from repro.ftypes.context import GOLDEN_TEXT, WCHAR_SIZE, ProbeContext
@@ -406,6 +407,7 @@ _CHAIN_VALUES: dict = {
     "cstring_in": lambda: _cstring_like(format_chain=False),
     "format_string": lambda: _cstring_like(format_chain=True),
     "cstring_out": lambda: _cstring_out(inout=False),
+    "cstring_inout": lambda: _cstring_out(inout=True),
     "buffer_in": lambda: _buffer_values(writable=False),
     "buffer_out": lambda: _buffer_values(writable=True),
     "out_ptr": _out_ptr_values,
@@ -434,7 +436,12 @@ def test_values_for(param: Parameter,
                     role: Optional[ParamRole]) -> List[TestValue]:
     """The test-value dictionary for one parameter."""
     chain_id = chain_id_for(param, role)
-    values = _CHAIN_VALUES[chain_id]()
     if role is not None and role.role == "inout_string":
-        values = _cstring_out(inout=True)
-    return values
+        chain_id = "cstring_inout"
+    return list(_chain_values(chain_id))
+
+
+@functools.lru_cache(maxsize=None)
+def _chain_values(chain_id: str) -> Tuple[TestValue, ...]:
+    """A chain's dictionary, built once: its values hold no state."""
+    return tuple(_CHAIN_VALUES[chain_id]())

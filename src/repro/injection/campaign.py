@@ -6,10 +6,12 @@ dictionary, running each probe in a pristine sandboxed process and
 classifying the outcome on the CRASH scale.  The per-(parameter, value)
 verdicts feed the robust-API derivation in :mod:`repro.robust`.
 
-Each executing thread keeps one probe process and restores it to
-pristine before every probe, the fork-server form of Ballista's fresh
-child per test case; when the restore cannot prove the process
-pristine, a new one is built.
+Each executing thread keeps one probe process, checkpointed once the
+golden arguments of the function it probes are built, and restores it
+to that checkpoint before every later probe of the function: the
+deferred fork-server form of Ballista's fresh child per test case.
+When the restore cannot prove the process equal to the checkpoint, or
+the thread moves on to another function, a new one is built.
 
 A probe that returns normally is additionally screened by a post-probe
 heap-consistency walk; a PASS with corrupted heap metadata is reclassified
@@ -163,7 +165,7 @@ class Campaign:
         self.interposer = interposer
         self.observer = observer
         self.sandbox = Sandbox()
-        #: per-thread recycled probe process (see :meth:`probe_process`)
+        #: per-thread checkpointed probe process (see :meth:`probe_process`)
         self._local = threading.local()
 
     # ------------------------------------------------------------------
@@ -224,30 +226,42 @@ class Campaign:
         if notify and self.observer is not None:
             self.observer(execution.probe, execution.result)
 
-    def probe_process(self) -> SimProcess:
-        """The calling thread's probe process, pristine.
+    def probe_process(
+        self, function: LibFunction
+    ) -> Tuple[SimProcess, ProbeContext]:
+        """The calling thread's probe process at ``function``'s golden
+        checkpoint, and a context of the probe's own over it.
 
-        Every probe path takes its process here.  The thread's previous
-        process is restored when :meth:`SimProcess.restore` can prove the
-        result equals ``SimProcess(fuel=self.fuel)``; otherwise a new one
-        replaces it.
+        Every probe path takes its process here: restored to the
+        thread's checkpoint when it belongs to ``function`` and
+        :meth:`SimProcess.restore` succeeds, else a new
+        ``SimProcess(fuel=self.fuel)`` whose goldens are built and then
+        checkpointed.  A golden build that raises checkpoints nothing.
         """
         local = self._local
         process = getattr(local, "process", None)
-        if (process is None or not process.restore()
-                or process.fuel != self.fuel):
-            process = local.process = SimProcess(fuel=self.fuel)
-        return process
+        if (process is not None and local.function is function
+                and process.restore() and process.fuel == self.fuel):
+            return process, local.context.copy()
+        # built before the old process is freed: freed first, its memory
+        # goes back to the OS and is faulted in again (~4x the cost)
+        process = SimProcess(fuel=self.fuel)
+        local.process = local.context = None
+        context = ProbeContext(process, function.prototype,
+                               self.manpages.get(function.name))
+        context.build_goldens()
+        process.checkpoint()
+        local.process, local.function, local.context = \
+            process, function, context
+        return process, context.copy()
 
     def execute_probe(self, probe: Probe, value: TestValue) -> ProbeExecution:
-        """Run one probe in a pristine process and classify the outcome."""
+        """Run one probe in a process at its function's golden checkpoint
+        and classify the outcome."""
         function = self.registry[probe.function]
-        manpage = self.manpages.get(probe.function)
-        process = self.probe_process()
-        ctx = ProbeContext(process, function.prototype, manpage)
         param = function.prototype.params[probe.param_index]
         try:
-            ctx.build_goldens()
+            process, ctx = self.probe_process(function)
             args = [ctx.golden[p.name] for p in function.prototype.params]
             args[probe.param_index] = value.materialize(ctx, param)
         except Exception as exc:  # setup failure, not a probe verdict

@@ -8,9 +8,10 @@ work units and runs them across a :mod:`concurrent.futures` pool:
 * ``serial``  — in-process, no pool; the reference backend.
 * ``thread``  — a :class:`~concurrent.futures.ThreadPoolExecutor`
   sharing the parent's campaign (each thread restores its own
-  :class:`~repro.runtime.SimProcess` to pristine before every probe,
-  building a new one when restore cannot prove it pristine, so workers
-  never share mutable simulator state).
+  :class:`~repro.runtime.SimProcess` to the golden checkpoint of the
+  function it probes before every probe, building a new one when
+  restore cannot prove that, so workers never share mutable simulator
+  state).
 * ``process`` — a :class:`~concurrent.futures.ProcessPoolExecutor`;
   each worker rebuilds the campaign from a picklable registry factory,
   recycles its own probe process the same way, and ships verdicts back

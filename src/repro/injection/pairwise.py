@@ -23,10 +23,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import Outcome
-from repro.ftypes import ProbeContext, TestValue, test_values_for
+from repro.ftypes import TestValue, test_values_for
 from repro.injection.campaign import Campaign
 from repro.libc.registry import LibFunction
-from repro.manpages.model import ManPage
 
 
 @dataclass(frozen=True)
@@ -115,7 +114,7 @@ class PairwiseCampaign(Campaign):
             for value_a, value_b in itertools.product(first_values,
                                                       second_values):
                 outcome = self._execute_pair(
-                    function, manpage, (i, value_a), (j, value_b)
+                    function, (i, value_a), (j, value_b)
                 )
                 if outcome is None:
                     continue
@@ -138,14 +137,11 @@ class PairwiseCampaign(Campaign):
     def _execute_pair(
         self,
         function: LibFunction,
-        manpage: Optional[ManPage],
         first: Tuple[int, TestValue],
         second: Tuple[int, TestValue],
     ) -> Optional[Outcome]:
-        process = self.probe_process()
-        ctx = ProbeContext(process, function.prototype, manpage)
         try:
-            ctx.build_goldens()
+            process, ctx = self.probe_process(function)
             args = [ctx.golden[p.name] for p in function.prototype.params]
             index_a, value_a = first
             index_b, value_b = second

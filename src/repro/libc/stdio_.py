@@ -24,7 +24,7 @@ from repro.libc.registry import (
     negative_on_error,
     null_on_error,
 )
-from repro.memory.model import _PERM_WRITE
+from repro.memory.model import _PERM_READ, _PERM_WRITE
 from repro.runtime.filesystem import (
     FILE_MAGIC,
     FILE_STRUCT_SIZE,
@@ -290,9 +290,16 @@ def _bulk_format_into(proc: SimProcess, fmt: int, args: List, limit,
     resumed at the state reached.
     """
     space = proc.space
-    terminator, readable = space.find_byte(fmt, 0)
-    end = readable if terminator is None else terminator
-    data = space.read_run(fmt, end)
+    fmt_data, fmt_offset, fmt_room = space.span(fmt, _PERM_READ)
+    nul = fmt_data.find(0, fmt_offset, fmt_offset + fmt_room)
+    if nul >= 0:
+        terminator = end = nul - fmt_offset
+        data = bytes(fmt_data[fmt_offset:nul])
+    else:
+        # unterminated in its first mapping: the run helpers cross on
+        terminator, readable = space.find_byte(fmt, 0)
+        end = readable if terminator is None else terminator
+        data = space.read_run(fmt, end)
     probe = data.find(0x25)
     while probe >= 0:
         parsed = _parse_spec_bytes(data, probe + 1, end)

@@ -11,7 +11,7 @@ a non-code address.
 
 from __future__ import annotations
 
-from repro.errors import Aborted
+from repro.errors import Aborted, OutOfFuel
 from repro.libc import helpers
 from repro.libc.registry import (
     LibcRegistry,
@@ -229,27 +229,36 @@ def register(reg: LibcRegistry) -> None:
         if scratch == 0:
             proc.errno = Errno.ENOMEM
             return 0
-        # both scratch elements go through one span resolved here; a
-        # comparator that maps or protects memory moves the epoch and
-        # sends the rest of the sort back through ``space.write``
+        # both scratch elements go through one span resolved here and are
+        # recorded as one write (counted as the two it is); a comparator
+        # that maps or protects memory moves the epoch and sends the rest
+        # of the sort back through ``space.write``
         space = proc.space
+        both = 2 * size
         data, first, room = space.span(scratch, _PERM_WRITE)
-        epoch = space.epoch if 0 < 2 * size <= room else -1
+        epoch = space.epoch if 0 < both <= room else -1
+        mapping = space.find_mapping(scratch)
+        note_write = space.note_write
         second = first + size
+        end = second + size
+        scratch_b = scratch + size
+        fuel = proc.fuel
         try:
             import functools
 
             def cmp(a: bytes, b: bytes) -> int:
-                proc.consume()
+                proc._fuel_used += 1  # proc.consume(), inline
+                if fuel is not None and proc._fuel_used > fuel:
+                    raise OutOfFuel(proc._fuel_used)
                 if space.epoch == epoch:
-                    space.note_write(scratch, size)
-                    space.note_write(scratch + size, size)
+                    note_write(scratch, both, mapping)
+                    space.mutations += 1
                     data[first:second] = a
-                    data[second:second + size] = b
+                    data[second:end] = b
                 else:
                     space.write(scratch, a)
-                    space.write(scratch + size, b)
-                return comparator(proc, scratch, scratch + size)
+                    space.write(scratch_b, b)
+                return comparator(proc, scratch, scratch_b)
 
             elements.sort(key=functools.cmp_to_key(cmp))
         finally:

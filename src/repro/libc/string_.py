@@ -174,9 +174,17 @@ def register(reg: LibcRegistry) -> None:
     def strchr(proc: SimProcess, s: int, c: int) -> int:
         """First occurrence of (char)c in s, or NULL."""
         space = proc.space
+        # only the bytes up to the terminator can hold the target; the
+        # loop tests it before the terminator, so a tie goes to the target
+        data, offset, available = space.span(s, _PERM_READ)
+        nul = data.find(0, offset, offset + available)
+        if nul >= 0:
+            hit = data.find(c & 0xFF, offset, nul + 1)
+            proc.consume_metered((nul if hit < 0 else hit) - offset + 1)
+            return 0 if hit < 0 else s + hit - offset
+        # unterminated in its first mapping: the run helpers cross into
+        # the next one and replay the fault
         nul, scanned = space.find_byte(s, 0)
-        # only the scanned bytes can hold the target; the loop tests it
-        # before the terminator, so a tie goes to the target
         hit, _ = space.find_byte(s, c, scanned)
         if hit is not None:
             proc.consume_metered(hit + 1)

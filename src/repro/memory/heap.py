@@ -126,16 +126,7 @@ class HeapAllocator:
         #: bumped whenever the live-allocation set can change (malloc,
         #: free, quarantine); pairs with ``AddressSpace.mutations`` so
         #: extent/terminator memos know when their bounds went stale
-        self.mutations = 0
-        self.reset()
-
-    def reset(self) -> None:
-        """Forget every chunk and statistic: the state of an empty heap.
-
-        The mapping's bytes are the caller's to zero; ``mutations``
-        keeps counting up so no memo keyed on it survives.
-        """
-        self.mutations += 1
+        self.mutations = 1
         self.stats = HeapStats()
         #: top of the allocated area; everything above is wilderness
         self._brk = self.mapping.start
@@ -160,6 +151,22 @@ class HeapAllocator:
         #: chunks removed from circulation after corruption, header ->
         #: shadow header; never reused, never freeable
         self._quarantined: Dict[int, Tuple[int, int, int]] = {}
+
+    def state(self) -> tuple:
+        """A copy of the statistics and chunk tables, for :meth:`set_state`."""
+        return (HeapStats(**vars(self.stats)), self._brk, self._free.copy(),
+                self._free_order.copy(), self._live.copy(),
+                self._live_order.copy(), self._chunks.copy(),
+                self._quarantined.copy())
+
+    def set_state(self, state: tuple) -> None:
+        """Return to ``state``; the mapping's bytes are the caller's, and
+        ``mutations`` keeps counting up so no memo keyed on it survives."""
+        self.mutations += 1
+        stats, self._brk, *tables = state
+        self.stats = HeapStats(**vars(stats))
+        (self._free, self._free_order, self._live, self._live_order,
+         self._chunks, self._quarantined) = [table.copy() for table in tables]
 
     # ------------------------------------------------------------------
     # allocation

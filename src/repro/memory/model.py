@@ -52,7 +52,6 @@ NULL = 0
 # Prepacked converters for the fixed-width accessors: struct.Struct objects
 # compile the format string once and expose pack_into/unpack_from, which work
 # directly on the mapping's bytearray without an intermediate bytes copy.
-_U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
 _I32 = struct.Struct("<i")
@@ -74,11 +73,6 @@ def page_align(value: int) -> int:
     return (value + PAGE_SIZE - 1) & ~(PAGE_SIZE - 1)
 
 
-#: zero source for :meth:`AddressSpace.reset_layout`: copying from one
-#: long-lived buffer is ~10x faster than from a new ``bytes(n)``, whose
-#: pages the allocator maps in afresh on every call
-_ZEROS = memoryview(bytes(1 << 20))
-
 #: int values of the common permissions, for the hot loops
 _PERM_READ = int(Perm.READ)
 _PERM_WRITE = int(Perm.WRITE)
@@ -87,7 +81,8 @@ _PERM_WRITE = int(Perm.WRITE)
 class Mapping:
     """A contiguous mapped region with uniform permissions."""
 
-    __slots__ = ("start", "size", "end", "perm", "perm_bits", "name", "data")
+    __slots__ = ("start", "size", "end", "perm", "perm_bits", "name", "data",
+                 "dirty_lo", "dirty_hi")
 
     def __init__(self, start: int, size: int, perm: Perm, name: str):
         self.start = start
@@ -101,6 +96,10 @@ class Mapping:
         self.perm_bits = int(perm)
         self.name = name
         self.data = bytearray(size)
+        #: write window: the addresses of this mapping written since it
+        #: was made or last checkpointed or restored (empty when lo >= hi)
+        self.dirty_lo = MAX_ADDRESS
+        self.dirty_hi = 0
 
     def contains(self, address: int, length: int = 1) -> bool:
         """True when ``[address, address+length)`` lies inside the mapping."""
@@ -111,6 +110,14 @@ class Mapping:
             f"Mapping({self.name!r}, {self.start:#x}-{self.end:#x}, "
             f"{self.perm!r})"
         )
+
+
+def _widen(mapping: Mapping, lo: int, hi: int) -> None:
+    """Widen the write window of ``mapping`` to cover ``[lo, hi)``."""
+    if lo < mapping.dirty_lo:
+        mapping.dirty_lo = lo
+    if hi > mapping.dirty_hi:
+        mapping.dirty_hi = hi
 
 
 class AddressSpace:
@@ -216,38 +223,61 @@ class AddressSpace:
         mapping.perm_bits = int(perm)
         self._bump_epoch()
 
-    def reset_layout(self, originals: Sequence[Tuple[Mapping, int]]) -> bool:
-        """Return to a zero-filled layout of just ``originals``.
+    def checkpoint(self, previous: Sequence[tuple] = ()) -> Tuple[tuple, ...]:
+        """The current layout and contents, for :meth:`reset_layout`.
 
-        ``originals`` are ``(mapping, perm_bits)`` pairs recorded when the
-        mappings were the lowest in the table and all zero, and the dirty
-        watermark must still cover every content write since then.  Later
-        mappings are dropped, the watermarked bytes inside ``originals``
-        are zeroed, and the epoch bumps.  Returns False, changing
-        nothing, when an original was unmapped or re-protected or a later
-        mapping lies below one.
+        One ``(mapping, perm_bits, base, saved)`` per mapping, where
+        ``saved`` holds the bytes from ``base`` that may be non-zero:
+        the hull of the mapping's entry in ``previous`` (the last
+        checkpoint) and its write window, which restarts empty.  This
+        holds while every write is recorded with :meth:`note_write`.
+        """
+        before = {entry[0]: entry for entry in previous}
+        layout = []
+        for mapping in self._mappings:
+            lo, hi = mapping.dirty_lo, mapping.dirty_hi
+            entry = before.get(mapping)
+            if entry is not None and entry[3]:
+                lo = min(lo, entry[2])
+                hi = max(hi, entry[2] + len(entry[3]))
+            if lo >= hi:
+                lo = hi = mapping.start
+            saved = mapping.data[lo - mapping.start:hi - mapping.start]
+            layout.append((mapping, mapping.perm_bits, lo,
+                           memoryview(bytes(saved))))
+            mapping.dirty_lo, mapping.dirty_hi = MAX_ADDRESS, 0
+        return tuple(layout)
+
+    def reset_layout(self, layout: Sequence[tuple]) -> bool:
+        """Return to ``layout``, a :meth:`checkpoint` of this space.
+
+        Later mappings are dropped; inside each mapping of ``layout``
+        only the write window changes, zeroed with the saved bytes it
+        overlaps copied back, so the cost follows the bytes written
+        since the checkpoint.  The epoch bumps.  Returns False, changing
+        nothing, when a mapping of ``layout`` was unmapped or
+        re-protected or a later mapping lies below one.
         """
         mappings = self._mappings
-        count = len(originals)
+        count = len(layout)
         if len(mappings) < count:
             return False
-        for (mapping, perm_bits), current in zip(originals, mappings):
-            if current is not mapping or mapping.perm_bits != perm_bits:
+        for entry, current in zip(layout, mappings):
+            if current is not entry[0] or current.perm_bits != entry[1]:
                 return False
         del mappings[count:]
         del self._starts[count:]
-        lo = self.dirty_lo
-        hi = self.dirty_hi
-        for mapping, _ in originals:
-            base = mapping.start
-            end = base + mapping.size
-            if lo < end and hi > base:
-                start = max(lo, base) - base
-                stop = min(hi, end) - base
-                while start < stop:
-                    step = min(stop - start, len(_ZEROS))
-                    mapping.data[start:start + step] = _ZEROS[:step]
-                    start += step
+        for mapping, _, base, saved in layout:
+            lo, hi = mapping.dirty_lo, mapping.dirty_hi
+            if lo < hi:
+                start = mapping.start
+                mapping.data[lo - start:hi - start] = bytes(hi - lo)
+                # the part of the window the checkpoint saved
+                keep_lo, keep_hi = max(base, lo), min(base + len(saved), hi)
+                if keep_lo < keep_hi:
+                    mapping.data[keep_lo - start:keep_hi - start] = \
+                        saved[keep_lo - base:keep_hi - base]
+                mapping.dirty_lo, mapping.dirty_hi = MAX_ADDRESS, 0
         self.dirty_lo = MAX_ADDRESS
         self.dirty_hi = 0
         self.resolve_count = 0
@@ -299,28 +329,12 @@ class AddressSpace:
                 access,
                 f"access runs off the end of {mapping.name}",
             )
-        if perm and not (mapping.perm_bits & perm):
+        if key and not (mapping.perm_bits & key):
             raise SegmentationFault(
                 address, access, f"{mapping.name} lacks {perm.name} permission"
             )
         self._memo[key] = mapping
         return mapping
-
-    def is_readable(self, address: int, length: int = 1) -> bool:
-        """True when ``length`` bytes at ``address`` can be read."""
-        try:
-            self._resolve(address, length, Perm.READ, "read")
-        except SegmentationFault:
-            return False
-        return True
-
-    def is_writable(self, address: int, length: int = 1) -> bool:
-        """True when ``length`` bytes at ``address`` can be written."""
-        try:
-            self._resolve(address, length, Perm.WRITE, "write")
-        except SegmentationFault:
-            return False
-        return True
 
     # ------------------------------------------------------------------
     # spans: one resolution, then direct work on ``Mapping.data``
@@ -338,14 +352,30 @@ class AddressSpace:
         offset = address - mapping.start
         return mapping.data, offset, mapping.size - offset
 
-    def note_write(self, address: int, length: int) -> None:
+    def note_write(self, address: int, length: int,
+                   mapping: Optional[Mapping] = None) -> None:
         """Record a write of ``length`` bytes at ``address``: bump
-        ``mutations`` and widen the dirty watermark, once per write."""
+        ``mutations`` and widen the dirty watermark, and the write window
+        of ``mapping`` (by default the one holding ``address``) up to its
+        end, once per write."""
         self.mutations += 1
+        end = address + length
         if address < self.dirty_lo:
             self.dirty_lo = address
-        if address + length > self.dirty_hi:
-            self.dirty_hi = address + length
+        if end > self.dirty_hi:
+            self.dirty_hi = end
+        if mapping is None:
+            # a span write: the span just left its mapping in the TLB
+            mapping = self._tlb
+            if (mapping is None
+                    or not 0 <= address - mapping.start < mapping.size):
+                mapping = self.find_mapping(address)
+                if mapping is None:
+                    return
+        if address < mapping.dirty_lo:
+            mapping.dirty_lo = address
+        if end > mapping.dirty_hi:
+            mapping.dirty_hi = end if end < mapping.end else mapping.end
 
     # ------------------------------------------------------------------
     # raw access
@@ -364,7 +394,7 @@ class AddressSpace:
         if not data:
             return
         mapping = self._resolve(address, len(data), Perm.WRITE, "write")
-        self.note_write(address, len(data))
+        self.note_write(address, len(data), mapping)
         offset = address - mapping.start
         mapping.data[offset : offset + len(data)] = data
 
@@ -377,7 +407,7 @@ class AddressSpace:
         if length == 0:
             return
         mapping = self._resolve(address, length, Perm.WRITE, "write")
-        self.note_write(address, length)
+        self.note_write(address, length, mapping)
         offset = address - mapping.start
         mapping.data[offset : offset + length] = bytes([value & 0xFF]) * length
 
@@ -474,6 +504,7 @@ class AddressSpace:
                 raise AssertionError("write_run fault replay did not fault")
             offset = cursor - mapping.start
             take = min(remaining, mapping.size - offset)
+            _widen(mapping, cursor, cursor + take)
             mapping.data[offset : offset + take] = view[position : position + take]
             cursor += take
             position += take
@@ -493,6 +524,7 @@ class AddressSpace:
                 raise AssertionError("fill_run fault replay did not fault")
             offset = cursor - mapping.start
             take = min(remaining, mapping.size - offset)
+            _widen(mapping, cursor, cursor + take)
             mapping.data[offset : offset + take] = bytes([value]) * take
             cursor += take
             remaining -= take
@@ -619,51 +651,25 @@ class AddressSpace:
                     self.write(dest + offset, b"\x00")
                 raise AssertionError("copy_within fault replay did not fault")
 
-    def compare(self, s1: int, s2: int, length: int) -> int:
-        """memcmp-style compare of ``length`` bytes (no fuel accounting).
-
-        Returns the difference of the first mismatching byte pair, or 0.
-        Faults where an interleaved ``read(s1+i) / read(s2+i)`` loop would.
-        """
-        if length <= 0:
-            return 0
-        run1 = self.readable_run(s1, length)
-        run2 = self.readable_run(s2, length)
-        count = min(length, run1, run2)
-        a = self.read_run(s1, count)
-        b = self.read_run(s2, count)
-        if a != b:
-            index = first_mismatch(a, b)
-            return a[index] - b[index]
-        if count == length:
-            return 0
-        if run1 <= run2:
-            self.read(s1 + count, 1)
-        else:
-            self.read(s2 + count, 1)
-        raise AssertionError("compare fault replay did not fault")
-
     # ------------------------------------------------------------------
     # fixed-width access (little endian, like x86)
     # ------------------------------------------------------------------
 
     def read_u8(self, address: int) -> int:
+        # TLB fast path (a comparator's two reads per call land here)
+        mapping = self._tlb
+        if mapping is not None and mapping.perm_bits & _PERM_READ:
+            offset = address - mapping.start
+            if 0 <= offset < mapping.size:
+                self.resolve_count += 1
+                return mapping.data[offset]
         mapping = self._resolve(address, 1, Perm.READ, "read")
         return mapping.data[address - mapping.start]
 
     def write_u8(self, address: int, value: int) -> None:
         mapping = self._resolve(address, 1, Perm.WRITE, "write")
-        self.note_write(address, 1)
+        self.note_write(address, 1, mapping)
         mapping.data[address - mapping.start] = value & 0xFF
-
-    def read_u16(self, address: int) -> int:
-        mapping = self._resolve(address, 2, Perm.READ, "read")
-        return _U16.unpack_from(mapping.data, address - mapping.start)[0]
-
-    def write_u16(self, address: int, value: int) -> None:
-        mapping = self._resolve(address, 2, Perm.WRITE, "write")
-        self.note_write(address, 2)
-        _U16.pack_into(mapping.data, address - mapping.start, value & 0xFFFF)
 
     def read_u32(self, address: int) -> int:
         mapping = self._resolve(address, 4, Perm.READ, "read")
@@ -671,7 +677,7 @@ class AddressSpace:
 
     def write_u32(self, address: int, value: int) -> None:
         mapping = self._resolve(address, 4, Perm.WRITE, "write")
-        self.note_write(address, 4)
+        self.note_write(address, 4, mapping)
         _U32.pack_into(mapping.data, address - mapping.start, value & 0xFFFFFFFF)
 
     def read_u64(self, address: int) -> int:
@@ -680,7 +686,7 @@ class AddressSpace:
 
     def write_u64(self, address: int, value: int) -> None:
         mapping = self._resolve(address, 8, Perm.WRITE, "write")
-        self.note_write(address, 8)
+        self.note_write(address, 8, mapping)
         _U64.pack_into(
             mapping.data, address - mapping.start, value & 0xFFFFFFFFFFFFFFFF
         )
@@ -693,7 +699,7 @@ class AddressSpace:
         # C stores truncate: keep the low 32 bits, reinterpret as signed
         value = ((value + (1 << 31)) & 0xFFFFFFFF) - (1 << 31)
         mapping = self._resolve(address, 4, Perm.WRITE, "write")
-        self.note_write(address, 4)
+        self.note_write(address, 4, mapping)
         _I32.pack_into(mapping.data, address - mapping.start, value)
 
     def read_ptr(self, address: int) -> int:
@@ -733,16 +739,6 @@ class AddressSpace:
     def write_cstring(self, address: int, value: bytes) -> None:
         """Write ``value`` plus a terminating NUL at ``address``."""
         self.write(address, value + b"\x00")
-
-    def cstring_length(self, address: int, limit: Optional[int] = None) -> int:
-        """strlen without copying (same fault behaviour as read_cstring)."""
-        index, scanned = self.find_byte(address, 0, limit)
-        if index is not None:
-            return index
-        if limit is not None and scanned >= limit:
-            return limit if limit > 0 else 0
-        self.read(address + scanned, 1)
-        raise AssertionError("cstring fault replay did not fault")
 
     # ------------------------------------------------------------------
     # diagnostics

@@ -69,6 +69,19 @@ class SimFileSystem:
             OpenStream(path="<stderr>", mode="w"),
         ]
 
+    def copy(self) -> "SimFileSystem":
+        """An independent copy, without a fault hook."""
+        clone = object.__new__(SimFileSystem)  # no default streams to drop
+        clone.files = {path: bytearray(data)
+                       for path, data in self.files.items()}
+        clone.streams = [s and OpenStream(s.path, s.mode, s.position, s.eof,
+                                          s.error, s.closed)
+                         for s in self.streams]
+        clone.stdout, clone.stderr, clone.stdin, clone._stdin_pos = (
+            bytearray(self.stdout), bytearray(self.stderr),
+            bytearray(self.stdin), self._stdin_pos)
+        return clone
+
     # ------------------------------------------------------------------
     # file store
     # ------------------------------------------------------------------

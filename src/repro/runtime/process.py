@@ -3,10 +3,12 @@
 A :class:`SimProcess` stands in for the OS process that HEALERS' native
 fault-injection harness forks for each probe.  It owns all mutable runtime
 state, so every probe can start from a pristine process — the isolation a
-fork-per-probe harness provides.  Like a fork server, a campaign does not
-pay for a new process each time: :meth:`SimProcess.restore` returns the
-previous one to the state its constructor left, and a new process is
-built only when restore cannot prove that.
+fork-per-probe harness provides.  Like a deferred fork server, a
+campaign does not pay for a new process, or new golden arguments, each
+time: it checkpoints a process once its goldens are built
+(:meth:`SimProcess.checkpoint`), and :meth:`SimProcess.restore` returns
+it to that state after each probe; a new process is built only when
+restore cannot prove that.
 
 Fuel is the deterministic replacement for a wall-clock watchdog: simulated
 libc loops consume one unit per byte processed, and exceeding the budget
@@ -69,24 +71,34 @@ class Errno:
         return cls._NAMES.get(value, f"errno_{value}")
 
 
-class _Pristine:
-    """What :meth:`SimProcess.restore` checks against and rebuilds from."""
+class _Checkpoint:
+    """What :meth:`SimProcess.restore` checks against and returns to."""
 
-    __slots__ = ("space", "heap", "stack", "fs", "mappings", "fuel",
-                 "environ")
+    __slots__ = ("space", "heap", "stack", "fs", "layout", "heap_state",
+                 "files", "fields")
 
-    def __init__(self, process: "SimProcess", fuel: Optional[int],
-                 environ: Dict[str, str]):
+    def __init__(self, process: "SimProcess",
+                 previous: Optional["_Checkpoint"]):
+        if process.stack.frames:
+            raise ValueError("cannot checkpoint inside a call frame")
         self.space = process.space
         self.heap = process.heap
         self.stack = process.stack
-        self.fs: Optional[SimFileSystem] = None
-        #: the constructor's mappings, all zero-filled, with their perms
-        self.mappings = tuple(
-            (mapping, mapping.perm_bits) for mapping in process.space.mappings()
-        )
-        self.fuel = fuel
-        self.environ = environ
+        self.fs = process.fs
+        #: the mappings, their perms and the bytes that may be non-zero
+        self.layout = process.space.checkpoint(
+            previous.layout if previous is not None else ())
+        self.heap_state = process.heap.state()
+        self.files = process.fs.copy()
+        # every per-run field but the two restore requires to be None,
+        # the tables last; named one by one as restore runs per probe
+        p = process
+        self.fields = (
+            p._rodata_cursor, p._data_cursor, p._text_cursor, p.errno,
+            p.fuel, p._fuel_used, p.exit_status, p.rand_state,
+            p._strtok_state, p.sim_time, p._interned.copy(),
+            p.environ.copy(), p._environ_ptrs.copy(), p._callbacks.copy(),
+            p._time_statics.copy(), p._std_files.copy())
 
 
 class SimProcess:
@@ -115,17 +127,11 @@ class SimProcess:
         self.stack = CallStack(self.space, stack_size, protect=stack_protect)
         #: executable region backing simulated function pointers
         self.text = self.space.map_region(64 * 1024, Perm.RX, "[text]")
-        self._pristine = _Pristine(self, fuel, dict(environ or {}))
-        self._reset_state()
-
-    def _reset_state(self) -> None:
-        """Set every per-run field to its value in a new process."""
-        pristine = self._pristine
         self._rodata_cursor = self.rodata.start
         self._interned: Dict[bytes, int] = {}
         self._data_cursor = self.data.start
         self.errno = 0
-        self.fuel = pristine.fuel
+        self.fuel = fuel
         self._fuel_used = 0
         self.exit_status: Optional[int] = None
         #: optional :class:`repro.robust.checks.CheckMemo` consulted by the
@@ -136,10 +142,10 @@ class SimProcess:
         #: recovery ``degrade`` action; the serving layer's circuit
         #: breaker listens here, None everywhere else
         self.degrade_hook: Optional[Callable[[str, str], None]] = None
-        self.environ: Dict[str, str] = dict(pristine.environ)
+        self.environ: Dict[str, str] = dict(environ or {})
         self._environ_ptrs: Dict[str, int] = {}
         #: in-memory filesystem + FILE stream table (stdio family)
-        self.fs = pristine.fs = SimFileSystem()
+        self.fs = SimFileSystem()
         self._text_cursor = self.text.start
         self._callbacks: Dict[int, Callable] = {}
         #: PRNG state for rand()/srand()
@@ -151,42 +157,65 @@ class SimProcess:
         self._time_statics: Dict[str, int] = {}
         self._std_files: Dict[int, int] = {}
         self.sim_time = SIM_EPOCH
+        #: the one state :meth:`restore` returns to: this pristine one
+        #: until :meth:`checkpoint` moves it
+        self._target = _Checkpoint(self, None)
+
+    def checkpoint(self) -> None:
+        """Make the current state the one :meth:`restore` returns to.
+
+        The deferred fork server: a campaign builds a function's golden
+        arguments once, checkpoints, and restores each later probe of it
+        here.  Memory is saved as each mapping's window of possibly
+        non-zero bytes (:meth:`AddressSpace.checkpoint`); the allocator
+        tables, file system and per-run fields, the C library's statics
+        included, are copied.  No call frame may be live.
+        """
+        self._target = _Checkpoint(self, self._target)
 
     def restore(self) -> bool:
-        """Bring the process back to the state its constructor left.
+        """Return the process to its latest checkpoint, or to the state
+        its constructor left when there is none.
 
         The fork-server half of probe isolation: instead of building a
         new process per probe, a campaign restores the previous one.
-        Only what the last run could have touched is reset — the dirty
-        watermark bounds the bytes to zero, mappings it added are
-        dropped, and the allocator, stack, file system and every field
-        :meth:`_reset_state` sets, the C library's statics included,
-        start over.  ``epoch`` and ``mutations`` keep counting up, so no
-        stamp-keyed memo can carry over.
+        Only what the last run could have touched is reset: each
+        checkpointed mapping's write window is zeroed and its saved
+        bytes copied back, mappings added since are dropped, the stack
+        starts over with a new canary, and the allocator, file system
+        and every per-run field return to their checkpointed values.
+        ``epoch`` and ``mutations`` keep counting up, so no stamp-keyed
+        memo can carry over.
 
         Returns False, leaving the process as it was, when it cannot
-        prove the result pristine: a check memo or degrade hook is
-        installed (the memo consumes the watermark), an allocator or
-        file-system fault hook is armed, an original mapping was
-        unmapped or re-protected, or the space, heap, stack or file
-        system was rebound.  The caller then builds a new process.
+        prove the result equal to the checkpoint: a check memo or
+        degrade hook is installed, an allocator or file-system fault
+        hook is armed, a checkpointed mapping was unmapped or
+        re-protected, or the space, heap, stack or file system was
+        rebound.  The caller then builds a new process.
         """
-        pristine = self._pristine
+        target = self._target
         heap = self.heap
-        if (self.space is not pristine.space
-                or heap is not pristine.heap
-                or self.stack is not pristine.stack
-                or self.fs is not pristine.fs
+        if (self.space is not target.space
+                or heap is not target.heap
+                or self.stack is not target.stack
+                or self.fs is not target.fs
                 or self.check_memo is not None
                 or self.degrade_hook is not None
                 or heap.fault_hook is not None
                 or heap.post_alloc_hook is not None
                 or self.fs.fault_hook is not None
-                or not self.space.reset_layout(pristine.mappings)):
+                or not self.space.reset_layout(target.layout)):
             return False
-        heap.reset()
+        heap.set_state(target.heap_state)
         self.stack.reset()
-        self._reset_state()
+        self.fs = target.fs = target.files.copy()
+        (self._rodata_cursor, self._data_cursor, self._text_cursor,
+         self.errno, self.fuel, self._fuel_used, self.exit_status,
+         self.rand_state, self._strtok_state, self.sim_time,
+         *tables) = target.fields
+        (self._interned, self.environ, self._environ_ptrs, self._callbacks,
+         self._time_statics, self._std_files) = [t.copy() for t in tables]
         return True
 
     # ------------------------------------------------------------------
@@ -321,7 +350,7 @@ class SimProcess:
         address = self._rodata_cursor
         # write through the mapping directly: rodata is not CPU-writable
         # (still counted as a content mutation for memo invalidation)
-        self.space.note_write(address, needed)
+        self.space.note_write(address, needed, self.rodata)
         offset = address - self.rodata.start
         self.rodata.data[offset : offset + len(value)] = value
         self.rodata.data[offset + len(value)] = 0

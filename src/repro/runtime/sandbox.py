@@ -2,9 +2,10 @@
 
 HEALERS' native harness forks a child per probe, calls the function under
 test, and classifies the child's fate (exit / signal / watchdog timeout).
-Here each probe runs against a pristine :class:`SimProcess` — restored
-with :meth:`SimProcess.restore`, or built new when restore cannot prove
-it pristine; the sandbox catches simulator faults and maps them onto
+Here each probe runs against a :class:`SimProcess` that is fresh apart
+from its golden arguments — restored to its golden checkpoint with
+:meth:`SimProcess.restore`, or built new when restore cannot prove that;
+the sandbox catches simulator faults and maps them onto
 :class:`~repro.errors.Outcome`.
 """
 

@@ -12,7 +12,8 @@ from tests.oracles.libc import (
     BODIES, HELPERS, safe_gets, scalar_registry,
 )
 from tests.oracles.memory import (
-    ScalarAddressSpace, per_word_integrity, per_word_walk, scalar_process,
+    ScalarAddressSpace, compare, cstring_length, is_readable, is_writable,
+    per_word_integrity, per_word_walk, scalar_process,
 )
 from tests.oracles.wrappers import (
     InterpretedChecker, compose_wrapper, interpreted_build_library,

@@ -5,15 +5,22 @@ move bytes for the one-``read``-per-byte loops they replace, so every
 fault lands where these loops put it.  :func:`per_word_integrity` is the
 heap's header walk done one ``read_u32`` per field.  :func:`scalar_process`
 builds a process over the per-byte space.
+
+:func:`compare`, :func:`cstring_length`, :func:`is_readable` and
+:func:`is_writable` are the bulk ``AddressSpace`` queries no libc body
+calls any more (memcmp runs through ``helpers.compare_strings``, strlen
+through ``find_byte``); they live on here as test helpers, diffed
+against the per-byte methods of :class:`ScalarAddressSpace`.
 """
 
 from typing import Optional
 
-from repro.errors import HeapCorruption
-from repro.memory import AddressSpace
+from repro.errors import HeapCorruption, SegmentationFault
+from repro.memory import AddressSpace, Perm
 from repro.memory.heap import (
     ALLOC_MAGIC, CANARY_VALUE, FLAG_CANARY, FREE_MAGIC, HEADER_SIZE, ChunkInfo,
 )
+from repro.memory.model import first_mismatch
 from repro.runtime import SimProcess
 
 
@@ -97,3 +104,58 @@ def scalar_process(**kwargs) -> SimProcess:
     proc = SimProcess(**kwargs)
     proc.space.__class__ = ScalarAddressSpace
     return proc
+
+
+def is_readable(space: AddressSpace, address: int, length: int = 1) -> bool:
+    """True when ``length`` bytes at ``address`` can be read."""
+    try:
+        space._resolve(address, length, Perm.READ, "read")
+    except SegmentationFault:
+        return False
+    return True
+
+
+def is_writable(space: AddressSpace, address: int, length: int = 1) -> bool:
+    """True when ``length`` bytes at ``address`` can be written."""
+    try:
+        space._resolve(address, length, Perm.WRITE, "write")
+    except SegmentationFault:
+        return False
+    return True
+
+
+def compare(space: AddressSpace, s1: int, s2: int, length: int) -> int:
+    """memcmp-style bulk compare of ``length`` bytes (no fuel accounting).
+
+    Returns the difference of the first mismatching byte pair, or 0.
+    Faults where an interleaved ``read(s1+i) / read(s2+i)`` loop would.
+    """
+    if length <= 0:
+        return 0
+    run1 = space.readable_run(s1, length)
+    run2 = space.readable_run(s2, length)
+    count = min(length, run1, run2)
+    a = space.read_run(s1, count)
+    b = space.read_run(s2, count)
+    if a != b:
+        index = first_mismatch(a, b)
+        return a[index] - b[index]
+    if count == length:
+        return 0
+    if run1 <= run2:
+        space.read(s1 + count, 1)
+    else:
+        space.read(s2 + count, 1)
+    raise AssertionError("compare fault replay did not fault")
+
+
+def cstring_length(space: AddressSpace, address: int,
+                   limit: Optional[int] = None) -> int:
+    """strlen without copying (same fault behaviour as read_cstring)."""
+    index, scanned = space.find_byte(address, 0, limit)
+    if index is not None:
+        return index
+    if limit is not None and scanned >= limit:
+        return limit if limit > 0 else 0
+    space.read(address + scanned, 1)
+    raise AssertionError("cstring fault replay did not fault")

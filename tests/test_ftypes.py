@@ -17,6 +17,7 @@ from repro.manpages import load_corpus, manpage_for
 from repro.manpages.model import ROLES
 from repro.memory import Perm
 from repro.runtime import SimProcess
+from tests.oracles import is_readable
 
 
 class TestChains:
@@ -125,7 +126,7 @@ class TestProbeContext:
         ctx = ProbeContext(proc, parse_prototype("int f(int x)"), None)
         ptr = ctx.freed_pointer()
         assert proc.heap.allocation_size(ptr) is None
-        assert proc.space.is_readable(ptr)  # mapped but stale
+        assert is_readable(proc.space, ptr)  # mapped but stale
 
     def test_map_filled_has_no_terminator(self):
         proc = SimProcess()

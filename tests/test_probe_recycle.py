@@ -1,14 +1,18 @@
-"""Recycled probe processes against fresh ones.
+"""Checkpointed probe processes against fresh ones.
 
-A campaign keeps one probe process per thread and restores it to
-pristine before each probe (``Campaign.probe_process``).  A freshly
-built ``SimProcess(fuel=...)`` is the oracle: every probe must return
-the same result on the recycled process as on a fresh one, and leave
-the same memory, heap, file system, errno and fuel behind.  The stamps
-(``epoch``, ``mutations``) and the stack canary seed are the only state
-allowed to differ.
+A campaign keeps one probe process per thread, checkpointed once the
+golden arguments of the function it probes are built, and restores it
+to that checkpoint before each later probe of the function
+(``Campaign.probe_process``).  The oracle is a freshly built
+``SimProcess(fuel=...)`` on which ``ProbeContext.build_goldens`` just
+ran: every probe must return the same result on the restored process as
+on the oracle, and leave the same memory, heap, file system, errno and
+fuel behind.  The stamps (``epoch``, ``mutations``), the resolution
+counters and the stack canary seed are the only state allowed to
+differ.
 """
 
+import copy
 import functools
 import gc
 import types
@@ -17,17 +21,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import HeapCorruption
+from repro.ftypes import ProbeContext
+from repro.ftypes import TestValue as Value  # not a test class
 from repro.injection import Campaign, ProbeExecutor, campaign_to_xml
 from repro.libc import standard_registry
 from repro.manpages import load_corpus
-from repro.memory import AddressSpace, CallStack, HeapAllocator, Mapping
+from repro.memory import (
+    PAGE_SIZE, AddressSpace, CallStack, HeapAllocator, Mapping,
+)
 from repro.robust.checks import CheckMemo
-from repro.runtime import Sandbox, SimProcess
+from repro.runtime import SimProcess
 from repro.runtime.filesystem import SimFileSystem
 
 ORIGINAL_MAPPINGS = ["[rodata]", "[data]", "[heap]", "[stack]", "[text]"]
 
-#: the probes whose state a recycled process must not carry over:
+#: the probes whose state a restored process must not carry over:
 #: static buffers, PRNG, clock, streams, sort scratch, environment, and
 #: the edge_buffer / map_filled mappings of pointer test values
 SLICE = ["strtok", "srand", "time", "strftime", "localtime", "fopen",
@@ -37,7 +45,7 @@ SLICE = ["strtok", "srand", "time", "strftime", "localtime", "fopen",
 #: process fields that are sub-objects compared on their own, or
 #: restore's own bookkeeping
 _NOT_FIELDS = {"space", "heap", "stack", "fs", "rodata", "data", "text",
-               "_pristine", "_callbacks"}
+               "_target", "_callbacks"}
 
 
 @pytest.fixture(scope="module")
@@ -50,26 +58,39 @@ def manpages():
     return load_corpus()
 
 
-class FreshCampaign(Campaign):
-    """The oracle: a new process for every probe."""
+def fresh_goldens(campaign, function):
+    """The oracle: a new process with the function's goldens built."""
+    process = SimProcess(fuel=campaign.fuel)
+    context = ProbeContext(process, function.prototype,
+                           campaign.manpages.get(function.name))
+    context.build_goldens()
+    return process, context
 
-    def probe_process(self):
-        self.last = SimProcess(fuel=self.fuel)
-        return self.last
+
+class FreshCampaign(Campaign):
+    """The oracle campaign: a new process and new goldens per probe."""
+
+    def probe_process(self, function):
+        self.last, context = fresh_goldens(self, function)
+        return self.last, context
 
 
 class WatchedCampaign(Campaign):
-    """The runtime path, remembering the process each probe ran in."""
+    """The runtime path, remembering the process each probe ran in and
+    optionally checking each restored process before the probe."""
 
     last = None
     recycled = 0
+    check = None
 
-    def probe_process(self):
+    def probe_process(self, function):
         previous = self.last
-        self.last = super().probe_process()
+        self.last, context = super().probe_process(function)
         if self.last is previous:
             self.recycled += 1
-        return self.last
+        if self.check is not None:
+            self.check(function, self.last, context)
+        return self.last, context
 
 
 def observe_result(execution):
@@ -82,18 +103,22 @@ def observe_result(execution):
             str(exc) if exc else "")
 
 
-def observe_process(proc):
+def observe_process(proc, contents=True):
     try:
         walk = proc.heap.walk()
     except HeapCorruption as exc:
         walk = str(exc)
     return {
-        "mappings": [(m.start, m.size, m.perm_bits, m.name, bytes(m.data))
+        "mappings": [(m.start, m.size, m.perm_bits, m.name,
+                      m.data if contents else None)
                      for m in proc.space.mappings()],
         "heap": walk,
         "live": proc.heap.live_allocations(),
         "heap_stats": proc.heap.stats,
-        "stack": (proc.stack.sp, len(proc.stack.frames)),
+        "heap_free": (proc.heap._brk, proc.heap._free,
+                      proc.heap._free_order, proc.heap._chunks,
+                      proc.heap._quarantined),
+        "stack": (proc.stack.sp, proc.stack.frames),
         "fs": proc.fs,
         "callbacks": sorted(proc._callbacks),
         "errno": proc.errno,
@@ -108,6 +133,12 @@ def assert_same_process(recycled, fresh, where):
     right = observe_process(fresh)
     for key in left:
         assert left[key] == right[key], (where, key)
+
+
+def assert_same_context(recycled, fresh, where):
+    for table in ("golden", "capacities", "texts", "varargs"):
+        assert getattr(recycled, table) == getattr(fresh, table), \
+            (where, table)
 
 
 #: the attributes of a new process; restore resets declared fields and
@@ -151,25 +182,34 @@ def reaches(root, kinds, budget=100_000):
     return False
 
 
+def probed_functions(registry):
+    return [name for name in registry.names()
+            if registry[name].prototype.params]
+
+
 class TestFullRegistry:
     def test_every_probe_matches_a_fresh_process(self, registry, manpages):
         recycled = WatchedCampaign(registry, manpages=manpages)
         fresh = FreshCampaign(registry, manpages=manpages)
+
+        def check(function, process, context):
+            # the restored process and context equal new goldens
+            oracle, oracle_context = fresh_goldens(fresh, function)
+            assert_same_process(process, oracle, function.name)
+            assert_same_context(context, oracle_context, function.name)
+
+        recycled.check = check
         executions = []
-        for name in registry.names():
-            if not registry[name].prototype.params:
-                continue
+        units = probed_functions(registry)
+        for name in units:
             for probe, value in recycled.probe_plan(name):
-                process = recycled.probe_process()
-                assert_pristine(process)
                 execution = recycled.execute_probe(probe, value)
                 expected = fresh.execute_probe(probe, value)
                 assert observe_result(execution) == \
                     observe_result(expected), probe
                 executions.append(execution)
-        # every probe after the first ran in the restored process: the
-        # explicit probe_process above and execute_probe's own call
-        assert recycled.recycled == 2 * len(executions) - 1
+        # only the first probe of each function builds a process
+        assert recycled.recycled == len(executions) - len(units)
         assert len(executions) == 1644
         # a stored result keeps no simulator state alive
         kinds = (SimProcess, AddressSpace, Mapping, HeapAllocator, CallStack)
@@ -189,43 +229,65 @@ class TestFullRegistry:
                                  jobs=2, backend="thread").run()
         assert campaign_to_xml(threaded) == serial
 
+    def test_goldens_are_built_once_per_function(self, registry, manpages,
+                                                 monkeypatch):
+        builds = []
+        build = ProbeContext.build_goldens
+
+        def counted(context):
+            builds.append(context.prototype.name)
+            build(context)
+
+        monkeypatch.setattr(ProbeContext, "build_goldens", counted)
+        campaign = Campaign(registry, manpages=manpages)
+        result = ProbeExecutor(campaign, backend="serial").run()
+        assert result.total_probes == 1644
+        assert builds == probed_functions(registry)
+        assert len(builds) == 103
+
 
 @functools.lru_cache(maxsize=None)
 def slice_setup():
-    """Registry, man pages and the slice's probe plan, built once."""
+    """Registry, man pages and the slice's probe plans, built once."""
     registry = standard_registry()
     manpages = load_corpus()
     campaign = Campaign(registry, manpages=manpages)
-    plan = [entry for name in SLICE for entry in campaign.probe_plan(name)]
-    # None stands for a rand() call: it has no parameter to probe, but
-    # must see the PRNG state a fresh process starts with
-    return registry, manpages, plan + [None]
+    plans = {name: campaign.probe_plan(name) for name in SLICE}
+    return registry, manpages, plans
+
+
+def run_and_compare(steps):
+    """Run ``steps`` on the checkpointed path and on fresh goldens,
+    comparing the result and the whole process after every probe."""
+    registry, manpages, _ = slice_setup()
+    recycled = WatchedCampaign(registry, manpages=manpages)
+    fresh = FreshCampaign(registry, manpages=manpages)
+    for index, (probe, value) in enumerate(steps):
+        got = observe_result(recycled.execute_probe(probe, value))
+        want = observe_result(fresh.execute_probe(probe, value))
+        assert got == want, (index, probe)
+        assert_same_process(recycled.last, fresh.last, (index, probe))
+
+
+@st.composite
+def within_one_function(draw):
+    _, _, plans = slice_setup()
+    plan = plans[draw(st.sampled_from(SLICE))]
+    return draw(st.lists(st.sampled_from(plan), min_size=1, max_size=12))
+
+
+@st.composite
+def across_functions(draw):
+    _, _, plans = slice_setup()
+    everything = [entry for name in SLICE for entry in plans[name]]
+    return draw(st.lists(st.sampled_from(everything), min_size=1,
+                         max_size=12))
 
 
 @settings(max_examples=40, deadline=None)
-@given(data=st.data())
-def test_random_sequences_match_fresh_processes(data):
-    registry, manpages, plan = slice_setup()
-    steps = data.draw(st.lists(st.sampled_from(plan), min_size=1,
-                               max_size=12))
-    recycled = WatchedCampaign(registry, manpages=manpages)
-    fresh = FreshCampaign(registry, manpages=manpages)
-    rand = registry["rand"]
-    sandbox = Sandbox()
-    for index, step in enumerate(steps):
-        if step is None:
-            results = [
-                sandbox.run(process, lambda p=process: rand.impl(p)).value
-                for process in (recycled.probe_process(),
-                                fresh.probe_process())
-            ]
-            assert results[0] == results[1], (index, "rand")
-        else:
-            probe, value = step
-            got = observe_result(recycled.execute_probe(probe, value))
-            want = observe_result(fresh.execute_probe(probe, value))
-            assert got == want, (index, probe)
-        assert_same_process(recycled.last, fresh.last, (index, step))
+@given(steps=st.one_of(within_one_function(), across_functions()))
+def test_random_sequences_match_fresh_processes(steps):
+    run_and_compare(steps)
 
 
 def _arm_heap_fault(proc):
@@ -282,9 +344,11 @@ class TestFallback:
         used = campaign.last
         perturb(used)
         assert used.restore() is False
-        process = campaign.probe_process()
+        process, context = campaign.probe_process(registry["strcpy"])
         assert process is not used
-        assert_pristine(process)
+        oracle, oracle_context = fresh_goldens(fresh, registry["strcpy"])
+        assert_same_process(process, oracle, perturb.__name__)
+        assert_same_context(context, oracle_context, perturb.__name__)
         got = campaign.execute_probe(second, second_value)
         assert campaign.last is process
         assert observe_result(got) == \
@@ -300,7 +364,7 @@ class TestFallback:
         used = campaign.last
         assert "fault_hook" in vars(used.heap)
         assert used.restore() is True
-        assert campaign.probe_process() is used
+        assert campaign.probe_process(registry["strcpy"])[0] is used
 
     def test_restore_undoes_every_kind_of_state(self, registry):
         """Touch each piece of process state directly, restore, and
@@ -345,11 +409,128 @@ class TestFallback:
         import threading
 
         campaign = Campaign(registry, manpages=manpages)
-        mine = campaign.probe_process()
+        strcpy = registry["strcpy"]
+        mine, _ = campaign.probe_process(strcpy)
         seen = []
         worker = threading.Thread(
-            target=lambda: seen.append(campaign.probe_process()))
+            target=lambda: seen.append(campaign.probe_process(strcpy)[0]))
         worker.start()
         worker.join()
         assert seen[0] is not mine
-        assert campaign.probe_process() is mine
+        assert campaign.probe_process(strcpy)[0] is mine
+
+
+class TestCheckpoint:
+    def test_a_probe_cannot_extend_the_checkpointed_context(self, registry,
+                                                            manpages):
+        """Each probe gets its own copies of the context's tables: what
+        one test value adds to them is gone for the next probe."""
+        campaign = WatchedCampaign(registry, manpages=manpages)
+        seen = []
+
+        def leaky(ctx, param):
+            seen.append((dict(ctx.golden), dict(ctx.capacities),
+                         dict(ctx.texts), list(ctx.varargs)))
+            ctx.golden["extra"] = 1
+            ctx.capacities["extra"] = 1
+            ctx.texts["extra"] = b"x"
+            ctx.varargs.append(7)  # sprintf ignores it: no conversions
+            return ctx.golden[param.name]
+
+        probe = campaign.probe_plan("sprintf")[0][0]
+        for _ in range(3):
+            campaign.execute_probe(probe, Value("leaky", 0, leaky))
+        assert campaign.recycled == 2
+        assert seen[0] == seen[1] == seen[2]
+        assert seen[0][3] == []
+
+    def test_restore_returns_to_the_checkpoint(self, registry):
+        """Everything a checkpoint covers comes back, time after time,
+        and a second checkpoint keeps what the first one saved."""
+        proc = SimProcess(fuel=1000)
+        golden = proc.alloc_cstring(b"golden")
+        proc.intern_cstring(b"literal")
+        proc.fs.add_file("/etc/golden.conf", b"golden file\n")
+        proc.fs.feed_stdin(b"line\n")
+        proc.setenv("HOME", "/home/user")
+        proc.register_callback(lambda p, a, b: 0)
+        proc.checkpoint()
+        mark = copy.deepcopy(observe_process(proc, contents=False))
+        contents = [bytes(m.data) for m in proc.space.mappings()]
+        for round_ in range(3):
+            registry["strcpy"].impl(proc, golden, proc.intern_cstring(b"xy"))
+            registry["fopen"].impl(proc, proc.alloc_cstring(b"/tmp/y"),
+                                   proc.alloc_cstring(b"w"))
+            registry["rand"].impl(proc)
+            proc.getenv_ptr("HOME")
+            proc.heap.free(golden)
+            proc.errno = 5
+            proc.space.map_region(4096)
+            assert proc.restore() is True, round_
+            assert observe_process(proc, contents=False) == mark, round_
+            assert [bytes(m.data) for m in proc.space.mappings()] == contents
+        # a later checkpoint merges its window with the saved one: the
+        # golden string written before the first checkpoint survives
+        proc.alloc_cstring(b"second")
+        proc.checkpoint()
+        contents = [bytes(m.data) for m in proc.space.mappings()]
+        registry["strcpy"].impl(proc, golden, proc.intern_cstring(b"zz"))
+        assert proc.restore() is True
+        assert [bytes(m.data) for m in proc.space.mappings()] == contents
+        assert proc.read_cstring(golden) == b"golden"
+
+    def test_a_write_across_adjacent_mappings_is_restored(self):
+        """A run write or fill that crosses into the next mapping widens
+        the write window of each mapping it lands in."""
+        space = AddressSpace()
+        first = space.map_region(PAGE_SIZE, at=16 * PAGE_SIZE)
+        second = space.map_region(PAGE_SIZE, at=17 * PAGE_SIZE)
+        layout = space.checkpoint()
+        for write in (lambda: space.write_run(first.end - 4, b"x" * 8),
+                      lambda: space.fill_run(first.end - 1, 0x42, 9)):
+            write()
+            assert space.reset_layout(layout) is True
+            assert first.data == bytes(PAGE_SIZE)
+            assert second.data == bytes(PAGE_SIZE)
+
+    def test_no_checkpoint_inside_a_call_frame(self):
+        """Restore starts the stack over, so a live frame cannot be part
+        of a checkpoint."""
+        proc = SimProcess()
+        proc.stack.push_frame("caller", 0x1234)
+        with pytest.raises(ValueError):
+            proc.checkpoint()
+        proc.stack.pop_frame()
+        proc.checkpoint()
+        assert proc.restore() is True
+
+    def test_restore_touches_only_the_bytes_written(self):
+        """A write at the start of [rodata] and one at the end of [heap]:
+        restore puts back exactly those bytes.  Bytes planted behind the
+        space's back elsewhere (recorded by no write) survive, so restore
+        never zeroed the span between the two writes or anything else."""
+        proc = SimProcess()
+        rodata, heap = proc.rodata, proc.heap.mapping
+        proc.checkpoint()
+        proc.intern_cstring(b"abc")
+        proc.space.write(heap.end - 8, b"12345678")
+        assert (rodata.dirty_lo, rodata.dirty_hi) == \
+            (rodata.start, rodata.start + 4)
+        assert (heap.dirty_lo, heap.dirty_hi) == (heap.end - 8, heap.end)
+        # the global watermark spans both mappings and all between
+        assert proc.space.dirty_lo == rodata.start
+        assert proc.space.dirty_hi == heap.end
+        planted = {mapping: len(mapping.data) // 2
+                   for mapping in proc.space.mappings()}
+        planted[rodata] = 4  # just past the interned string
+        planted[heap] = heap.size - 9  # just below the heap write
+        for mapping, offset in planted.items():
+            mapping.data[offset] = 0x5A
+        assert proc.restore() is True
+        for mapping, offset in planted.items():
+            assert mapping.data[offset] == 0x5A, mapping.name
+            mapping.data[offset] = 0
+        for mapping in proc.space.mappings():
+            assert mapping.data == bytes(mapping.size), mapping.name
+            assert mapping.dirty_lo >= mapping.dirty_hi
+        assert_pristine(proc)

@@ -14,6 +14,7 @@ from repro.objfile import SimELF, build_executable, build_shared_object
 from repro.profiling import ProfileDocument
 from repro.runtime import SimProcess
 from repro.wrappers.state import WrapperState
+from tests.oracles import cstring_length
 
 COMMON = settings(max_examples=60,
                   suppress_health_check=[HealthCheck.too_slow])
@@ -123,7 +124,7 @@ class TestAddressSpaceProperties:
         proc = SimProcess()
         ptr = proc.alloc_cstring(text)
         assert proc.read_cstring(ptr) == text
-        assert proc.space.cstring_length(ptr) == len(text)
+        assert cstring_length(proc.space, ptr) == len(text)
 
     @COMMON
     @given(st.integers(0, 2 ** 32 - 1))
